@@ -483,9 +483,10 @@ let e15 () =
     Parallel.with_config ~blocking_threshold:max_int Parallel.sequential
   in
   let c0 = wall () in
-  let exe_seq = Executor.compile ~runtime:Parallel.sequential graph in
+  let plan = Memplan.plan graph in
+  let exe_seq = Executor.compile ~runtime:Parallel.sequential plan in
   let compile_s = wall () -. c0 in
-  let exe_naive = Executor.compile ~runtime:seq_naive graph in
+  let exe_naive = Executor.compile ~runtime:seq_naive plan in
   (* Reference outputs: the interpreter — blocked and naive matmuls are
      bit-identical by construction, so this is the exact PR 1 numerics. *)
   let interp_outs = Interp.eval graph ~feeds in
@@ -532,7 +533,7 @@ let e15 () =
   List.iter
     (fun domains ->
       let runtime = Parallel.create ~domains () in
-      let exe = Executor.compile ~runtime graph in
+      let exe = Executor.compile ~runtime plan in
       ignore
         (measure
            (Printf.sprintf "executor (blocked, %d domain%s)" domains
@@ -777,6 +778,7 @@ let e18 () =
       @ Params.bindings model.Model.params
     in
     let fusion = Fuse.analyse graph in
+    let plan = Memplan.plan graph and fused_plan = Memplan.plan ~fusion graph in
     (* One executor per grid point. d = 1 is the sequential runtime;
        larger counts run on Domain pools (hardware-capped, so on a small
        machine the extra configurations execute the very same sequential
@@ -796,8 +798,9 @@ let e18 () =
           in
           ( d,
             runtime,
-            List.init replicas (fun _ -> Executor.compile ~runtime graph),
-            List.init replicas (fun _ -> Executor.compile ~runtime ~fusion graph)
+            List.init replicas (fun _ -> Executor.compile ~runtime plan),
+            List.init replicas (fun _ ->
+                Executor.compile ~runtime fused_plan)
           ))
         domain_counts
     in
@@ -1348,10 +1351,10 @@ let e22 () =
       model.Model.placeholders
     @ Params.bindings model.Model.params
   in
-  let fusion = Fuse.analyse graph in
+  let fused_plan = Memplan.plan ~fusion:(Fuse.analyse graph) graph in
   let steps, rounds = match !scale with Full -> (5, 3) | Quick -> (3, 2) in
   let reference =
-    Executor.eval (Executor.compile ~fusion graph) ~feeds
+    Executor.eval (Executor.compile fused_plan) ~feeds
   in
   row "%-4s %10s %10s %10s %9s %9s %14s@." "" "plain" "cells" "full"
     "cells-x" "full-x" "outputs";
@@ -1362,7 +1365,7 @@ let e22 () =
         if d = 1 then Parallel.sequential else Parallel.create ~domains:d ()
       in
       let time_and_check mode =
-        let exe = Executor.compile ~runtime ~fusion ~sanitize:mode graph in
+        let exe = Executor.compile ~runtime ~sanitize:mode fused_plan in
         let same =
           List.for_all2 Tensor.equal reference (Executor.eval exe ~feeds)
         in

@@ -3,15 +3,8 @@ open Echo_ir
 open Echo_exec
 module Sanitize = Echo_analysis.Sanitize
 
-(* A physical transient buffer. [writers] counts the instructions that write
-   into it across the whole schedule: a constant node owning a single-writer
-   buffer can be materialised once at compile time and skipped at run time.
-   [bid] is a compile-time identity handed to the static verifier so it can
-   prove that nodes sharing a physical buffer never overlap in lifetime. *)
-type buf = { arr : float array; mutable writers : int; mutable bid : int }
-
 type t = {
-  graph : Graph.t;
+  plan : Memplan.report;  (** the buffer plan this executor materialises *)
   runtime : Parallel.t;
   nodes : Node.t array;  (** the frozen schedule; slot = index *)
   instrs : (unit -> unit) array;
@@ -26,14 +19,7 @@ type t = {
   transient_bytes : int;
   persistent_bytes : int;
   max_workspace_bytes : int;
-  fused_groups : int;
-  fused_interiors : int;
-  binding : (Node.t * int) list;
-      (** (node, physical buffer id) for every materialising transient slot *)
   fallback_count : int;  (** instructions that evaluate through Interp *)
-  materialising : bool array;
-      (** by slot: the slot owns a value at run time (transient buffer or
-          fed persistent tensor) — fused interiors don't *)
   mutable pending_flips : (int * int * int) list;
       (** (slot, index, bit) single-event upsets to apply during the next
           {!run}, right after the slot's instruction writes; cleared after
@@ -57,39 +43,22 @@ let () =
 
 let nop () = ()
 
-let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
-    ?sanitize graph =
+let compile ?budget_bytes ?runtime ?sanitize (plan : Memplan.report) =
   let runtime =
     match runtime with Some r -> r | None -> Parallel.default ()
-  in
-  (* [?liveness] overrides the plan the executor frees and recycles
-     buffers against — the race-verify mutation harness injects corrupted
-     intervals here ([Liveness.of_intervals]) to prove the sanitizer
-     catches the resulting stale reads on a real executor. *)
-  let liveness =
-    match liveness with Some l -> l | None -> Liveness.analyse ?fusion graph
   in
   let sanitize_mode =
     match sanitize with Some m -> m | None -> Sanitize.env_mode ()
   in
-  (* Fused interiors get no buffer, no tensor and no instruction; a group
-     root compiles to one fused instruction over the group's external
-     inputs. Both follow the same [Fuse.plan] the planner used, so the
-     measured footprint still equals [Memplan.plan ?fusion]'s arena. *)
-  let interior node =
-    match fusion with
-    | Some f -> Fuse.is_interior f (Node.id node)
-    | None -> false
-  in
+  let graph = plan.Memplan.graph and fusion = plan.Memplan.fusion in
+  let slot_buffer = plan.Memplan.slot_buffer in
+  (* A group root compiles to one fused instruction over the group's
+     external inputs; interiors own no buffer in the plan, so they get no
+     tensor and no instruction. *)
   let group_of_root node =
     match fusion with
     | Some f -> Fuse.group_of_root f (Node.id node)
     | None -> None
-  in
-  let inplace_inputs node =
-    match fusion with
-    | Some f -> Fuse.inplace_candidates f node
-    | None -> Node.inputs node
   in
   let nodes = Array.of_list (Graph.nodes graph) in
   let n = Array.length nodes in
@@ -100,22 +69,6 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   let persistent = ref [] in
   let persistent_bytes = ref 0 in
   let max_ws = ref 0 in
-  (* Buffer assignment mirrors [Memplan.plan ~reuse:true] exactly — same
-     exact-size pool, same in-place eligibility and input order — so the
-     executor's footprint IS the planner's arena prediction. *)
-  let pool : (int, buf list ref) Hashtbl.t = Hashtbl.create 64 in
-  let pool_take numel =
-    match Hashtbl.find_opt pool numel with
-    | Some ({ contents = b :: rest } as l) ->
-      l := rest;
-      Some b
-    | Some { contents = [] } | None -> None
-  in
-  let pool_put numel b =
-    match Hashtbl.find_opt pool numel with
-    | Some l -> l := b :: !l
-    | None -> Hashtbl.replace pool numel (ref [ b ])
-  in
   let transient_bytes = ref 0 in
   (* Budget enforcement happens here, during allocation, so the raise
      carries the running arena total at the moment it first crosses the
@@ -128,31 +81,13 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
         raise (Budget_exceeded { requested_bytes = total; budget_bytes = budget })
     | None -> ()
   in
-  let buf_of_slot : buf option array = Array.make n None in
-  let transferred : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let inplace_buf step node =
-    if not (inplace && Memplan.inplace_capable node) then None
-    else begin
-      let size = Node.size_bytes node in
-      let eligible input =
-        (not (Liveness.is_persistent input))
-        && Node.size_bytes input = size
-        && (not (Hashtbl.mem transferred (Node.id input)))
-        && (not (Graph.is_output graph (Node.id input)))
-        &&
-        match Liveness.interval liveness (Node.id input) with
-        | itv -> itv.Liveness.last_step = step
-        | exception Not_found -> false
-      in
-      match List.find_opt eligible (inplace_inputs node) with
-      | None -> None
-      | Some input ->
-        Hashtbl.replace transferred (Node.id input) ();
-        buf_of_slot.(Hashtbl.find slot_of_id (Node.id input))
-    end
-  in
-  (* Phase 1: assign every slot a physical buffer (recycling dying buffers
-     like the planner) and wrap it in its output tensor once. *)
+  (* Phase 1: materialise the planner's binding. Each buffer id gets one
+     array at its first use, so the running total at every step is the
+     arena the planner had reached there; [writers] counts the slots that
+     write each buffer — a constant owning a single-writer buffer can be
+     materialised once at compile time and skipped at run time. *)
+  let buffers = Array.make (Array.length plan.Memplan.buffer_numel) [||] in
+  let writers = Array.make (Array.length buffers) 0 in
   Array.iteri
     (fun step node ->
       let ws = Workspace.bytes node in
@@ -162,41 +97,23 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
         is_persistent_slot.(step) <- true;
         persistent := (node, step) :: !persistent;
         persistent_bytes := !persistent_bytes + Node.size_bytes node
-      | _ when interior node ->
-        (* Lives in registers inside the group root's fused kernel:
-           [values.(step)] is never read and no instruction is emitted. *)
-        ()
       | _ ->
-        let numel = Shape.numel (Node.shape node) in
-        let b =
-          match inplace_buf step node with
-          | Some b -> b
-          | None -> (
-            match pool_take numel with
-            | Some b -> b
-            | None ->
-              transient_bytes := !transient_bytes + Node.size_bytes node;
-              { arr = Array.make numel 0.0; writers = 0; bid = -1 })
-        in
-        b.writers <- b.writers + 1;
-        buf_of_slot.(step) <- Some b;
-        values.(step) <- Tensor.create (Node.shape node) b.arr);
-      check_budget ();
-      List.iter
-        (fun dying ->
-          if not (Hashtbl.mem transferred (Node.id dying)) then begin
-            let slot = Hashtbl.find slot_of_id (Node.id dying) in
-            match buf_of_slot.(slot) with
-            | Some b -> pool_put (Array.length b.arr) b
-            | None -> ()
-          end)
-        (Liveness.dying_at liveness step))
+        let bid = slot_buffer.(step) in
+        if bid >= 0 then begin
+          if writers.(bid) = 0 then begin
+            buffers.(bid) <- Array.make plan.Memplan.buffer_numel.(bid) 0.0;
+            transient_bytes := !transient_bytes + Node.size_bytes node
+          end;
+          writers.(bid) <- writers.(bid) + 1;
+          values.(step) <- Tensor.create (Node.shape node) buffers.(bid)
+        end);
+      check_budget ())
     nodes;
   (* Phase 2: compile each node to one closure over its input slots and its
      fixed destination tensor. Runs after phase 1 so writer counts are
      final. *)
   let instrs = Array.make n nop in
-  let build node dst buf =
+  let build node dst ~single_writer =
     let slots =
       Array.of_list
         (List.map
@@ -209,20 +126,20 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
     match Node.op node with
     | Op.Placeholder | Op.Variable -> assert false
     | Op.Zeros ->
-      if buf.writers = 1 then begin
+      if single_writer then begin
         I.fill ~dst 0.0;
         nop
       end
       else fun () -> I.fill ~dst 0.0
     | Op.ConstFill v ->
-      if buf.writers = 1 then begin
+      if single_writer then begin
         I.fill ~dst v;
         nop
       end
       else fun () -> I.fill ~dst v
     | Op.DropoutMask { p; seed } ->
       let mask = Tensor.dropout_mask ~seed ~p (Node.shape node) in
-      if buf.writers = 1 then begin
+      if single_writer then begin
         I.blit ~src:mask ~dst;
         nop
       end
@@ -352,12 +269,12 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   in
   Array.iteri
     (fun step node ->
-      match buf_of_slot.(step) with
-      | Some b -> (
-        match group_of_root node with
-        | Some g -> instrs.(step) <- build_fused g values.(step)
-        | None -> instrs.(step) <- build node values.(step) b)
-      | None -> ())
+      let bid = slot_buffer.(step) in
+      if bid >= 0 then
+        instrs.(step) <-
+          (match group_of_root node with
+          | Some g -> build_fused g values.(step)
+          | None -> build node values.(step) ~single_writer:(writers.(bid) = 1)))
     nodes;
   let output_slots =
     Array.of_list
@@ -366,22 +283,6 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
          (Graph.outputs graph))
   in
   let persistent = Array.of_list (List.rev !persistent) in
-  (* Number the physical buffers in first-use order and record which buffer
-     each materialising slot ended up in — the artifact the alias sanitizer
-     re-derives lifetimes against. *)
-  let next_bid = ref 0 in
-  let binding = ref [] in
-  Array.iteri
-    (fun step node ->
-      match buf_of_slot.(step) with
-      | None -> ()
-      | Some b ->
-        if b.bid < 0 then begin
-          b.bid <- !next_bid;
-          incr next_bid
-        end;
-        binding := (node, b.bid) :: !binding)
-    nodes;
   let fallback_count =
     Array.fold_left
       (fun acc node ->
@@ -392,20 +293,11 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   in
   (* Describe the schedule to the shadow-memory sanitizer: what each slot
      writes (bid + extent), which arena cells it reads and from which
-     producer, and how long the plan keeps its value alive. Built after
-     bid numbering so the descriptions use the same buffer identities the
-     static checkers see. *)
+     producer, and how long the plan keeps its value alive — all in the
+     plan's buffer ids, the identities the static checkers see. *)
   let sanitizer =
     if not (Sanitize.is_on sanitize_mode) then None
     else begin
-      let buffers = Hashtbl.create 64 in
-      Array.iter
-        (fun b ->
-          match b with
-          | Some b when not (Hashtbl.mem buffers b.bid) ->
-            Hashtbl.replace buffers b.bid b.arr
-          | _ -> ())
-        buf_of_slot;
       let tracked_inputs node =
         match group_of_root node with
         | Some g -> g.Fuse.externals
@@ -418,15 +310,15 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
               Printf.sprintf "%s %s" (Op.to_string (Node.op node))
                 (Node.name node)
             in
+            let bid = slot_buffer.(step) in
             let si_dst =
-              match buf_of_slot.(step) with
-              | Some b -> Some (b.bid, Shape.numel (Node.shape node))
-              | None -> None
+              if bid < 0 then None
+              else Some (bid, Shape.numel (Node.shape node))
             in
             let si_const =
-              match (buf_of_slot.(step), Node.op node) with
-              | Some b, (Op.Zeros | Op.ConstFill _ | Op.DropoutMask _) ->
-                b.writers = 1
+              match Node.op node with
+              | Op.Zeros | Op.ConstFill _ | Op.DropoutMask _ ->
+                bid >= 0 && writers.(bid) = 1
               | _ -> false
             in
             let si_reads =
@@ -437,29 +329,29 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
                      (fun input ->
                        match Hashtbl.find_opt slot_of_id (Node.id input) with
                        | None -> None
-                       | Some s -> (
-                         match buf_of_slot.(s) with
-                         | Some b ->
-                           Some (s, b.bid, Shape.numel (Node.shape input))
-                         | None -> None))
+                       | Some s when slot_buffer.(s) >= 0 ->
+                         Some
+                           (s, slot_buffer.(s), Shape.numel (Node.shape input))
+                       | Some _ -> None)
                      (tracked_inputs node))
             in
-            let si_expire =
-              match Liveness.interval liveness (Node.id node) with
-              | itv -> itv.Liveness.last_step
-              | exception Not_found -> max_int
-            in
-            { Sanitize.si_name; si_dst; si_const; si_reads; si_expire })
+            {
+              Sanitize.si_name;
+              si_dst;
+              si_const;
+              si_reads;
+              si_expire = plan.Memplan.slot_expiry.(step);
+            })
           nodes
       in
       Some
         (Sanitize.create sanitize_mode ~slots
            ~buffers:
-             (Hashtbl.fold (fun bid arr acc -> (bid, arr) :: acc) buffers []))
+             (Array.to_list (Array.mapi (fun bid arr -> (bid, arr)) buffers)))
     end
   in
   {
-    graph;
+    plan;
     runtime;
     nodes;
     instrs;
@@ -474,24 +366,21 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
     transient_bytes = !transient_bytes;
     persistent_bytes = !persistent_bytes;
     max_workspace_bytes = !max_ws;
-    fused_groups =
-      (match fusion with Some f -> Fuse.group_count f | None -> 0);
-    fused_interiors =
-      (match fusion with Some f -> Fuse.interior_count f | None -> 0);
-    binding = List.rev !binding;
     fallback_count;
-    materialising =
-      Array.init n (fun s ->
-          is_persistent_slot.(s) || buf_of_slot.(s) <> None);
     pending_flips = [];
     sanitize = sanitizer;
   }
 
-let graph e = e.graph
+let plan e = e.plan
+let graph e = e.plan.Memplan.graph
 let runtime e = e.runtime
 let instruction_count e = Array.length e.instrs
-let fused_group_count e = e.fused_groups
-let fused_interior_count e = e.fused_interiors
+
+let fused_group_count e =
+  match e.plan.Memplan.fusion with Some f -> Fuse.group_count f | None -> 0
+
+let fused_interior_count e =
+  match e.plan.Memplan.fusion with Some f -> Fuse.interior_count f | None -> 0
 
 let active_instruction_count e =
   Array.fold_left (fun acc f -> if f == nop then acc else acc + 1) 0 e.instrs
@@ -501,7 +390,15 @@ let footprint_bytes e =
 
 let transient_bytes e = e.transient_bytes
 let persistent_bytes e = e.persistent_bytes
-let buffer_binding e = e.binding
+
+let buffer_binding e =
+  List.filter_map Fun.id
+    (Array.to_list
+       (Array.mapi
+          (fun s node ->
+            let bid = e.plan.Memplan.slot_buffer.(s) in
+            if bid < 0 then None else Some (node, bid))
+          e.nodes))
 let interp_fallback_count e = e.fallback_count
 let sanitize_mode e = match e.sanitize with None -> Sanitize.Off | Some s -> Sanitize.mode s
 let sanitize_report e = Option.map Sanitize.report e.sanitize
@@ -516,9 +413,14 @@ let slot e node =
       (Printf.sprintf "Executor.slot: node %s (#%d) is not in the graph"
          (Node.name node) (Node.id node))
 
+(* The slot owns a value at run time (transient buffer or fed persistent
+   tensor) — fused interiors don't. *)
+let materialising e s =
+  e.is_persistent_slot.(s) || e.plan.Memplan.slot_buffer.(s) >= 0
+
 let materialises e node =
   match slot_opt e node with
-  | Some s -> e.materialising.(s)
+  | Some s -> materialising e s
   | None -> false
 
 let schedule_flip e ~slot ~index ~bit =
@@ -526,7 +428,7 @@ let schedule_flip e ~slot ~index ~bit =
     invalid_arg
       (Printf.sprintf "Executor.schedule_flip: slot %d outside 0..%d" slot
          (Array.length e.nodes - 1));
-  if not e.materialising.(slot) then
+  if not (materialising e slot) then
     invalid_arg
       (Printf.sprintf
          "Executor.schedule_flip: slot %d (%s) does not materialise — fused \

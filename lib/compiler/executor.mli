@@ -1,15 +1,15 @@
 (** The compiled slot-based executor.
 
-    [compile] lowers a planned graph once into a flat instruction array:
+    [compile] lowers a memory plan once into a flat instruction array:
     the schedule is frozen, every node gets a dense integer {e slot}
     (its schedule index), input lookups are precompiled slot reads, and
-    every transient node is bound at compile time to a physical buffer
-    recycled under exactly the discipline of {!Echo_exec.Memplan.plan}
-    (exact-size pool + in-place transfer into dying same-size inputs).
-    Running a step is then a single array sweep with {e zero} tensor
-    allocation — buffers are reused across nodes within a step and across
-    training steps, which is the "compile once, train many steps" execution
-    model the Echo paper assumes.
+    every transient node writes the physical buffer the plan's binding
+    assigns it ({!Echo_exec.Memplan.report}'s [slot_buffer]: exact-size
+    pool + in-place transfer into dying same-size inputs). Running a step
+    is then a single array sweep with {e zero} tensor allocation — buffers
+    are reused across nodes within a step and across training steps, which
+    is the "compile once, train many steps" execution model the Echo paper
+    assumes.
 
     Numerics are bit-identical to the reference interpreter {!Echo_exec.Interp}
     by construction: both execute the same scalar kernels in the same
@@ -36,17 +36,16 @@ exception Budget_exceeded of { requested_bytes : int; budget_bytes : int }
     re-plans through the recomputation escalation ladder. *)
 
 val compile :
-  ?inplace:bool ->
   ?budget_bytes:int ->
   ?runtime:Parallel.t ->
-  ?fusion:Fuse.plan ->
-  ?liveness:Echo_exec.Liveness.t ->
   ?sanitize:Echo_analysis.Sanitize.mode ->
-  Graph.t ->
+  Echo_exec.Memplan.report ->
   t
-(** Compile the graph's schedule into instructions and bind buffers.
-    [inplace] (default [true]) mirrors the planner's in-place optimisation;
-    disable it to match [Memplan.plan ~inplace:false].
+(** Compile the plan's graph into instructions over the plan's buffer
+    binding: one array per buffer id, allocated at its first use. Nothing
+    is re-planned, so [footprint_bytes] is the plan's [arena_bytes] and the
+    planner's options ([~inplace:false], [~reuse:false], an injected
+    [?liveness]) reach the executor through the plan.
 
     [budget_bytes] is a hard ceiling on the device-accounted arena: buffer
     allocation that crosses it aborts compilation with {!Budget_exceeded}.
@@ -59,20 +58,13 @@ val compile :
     domains. Results are bit-identical at every domain count — see
     {!Echo_tensor.Parallel}.
 
-    [fusion] (default absent: nothing fuses) compiles each group of the
-    given {!Echo_ir.Fuse.plan} into a single fused instruction — one pass
-    over the root's buffer with the chain folding in registers, via
+    The fusion plan is the one the memory plan was made under
+    ([Memplan.plan ?fusion]), so a fused plan always compiles to a fused
+    executor: each group compiles into a single fused instruction — one
+    pass over the root's buffer with the chain folding in registers, via
     {!Echo_tensor.Tensor.Into.fused}. Interiors get no buffer, no tensor
-    and no instruction, so [footprint_bytes] equals
-    [(Memplan.plan ~fusion graph).arena_bytes], and results stay
-    bit-identical to the unfused executor (same scalar kernels, same
-    partitioning).
-
-    [liveness] (default: [Liveness.analyse ?fusion graph]) is the plan
-    the executor frees and recycles buffers against. Overriding it is the
-    race-verify mutation harness's injection point: a corrupted interval
-    list ({!Echo_exec.Liveness.of_intervals}) becomes a real executor
-    whose early frees the shadow-memory sanitizer must catch.
+    and no instruction, and results stay bit-identical to the unfused
+    executor (same scalar kernels, same partitioning).
 
     [sanitize] (default {!Echo_analysis.Sanitize.env_mode}, i.e. the
     [ECHO_SANITIZE] environment variable) brackets every instruction of
@@ -145,6 +137,9 @@ val eval : t -> feeds:Echo_exec.Interp.feeds -> Tensor.t list
 
 val graph : t -> Graph.t
 
+val plan : t -> Echo_exec.Memplan.report
+(** The memory plan the executor was compiled from. *)
+
 val runtime : t -> Parallel.t
 (** The kernel runtime baked in at compile time. *)
 
@@ -158,7 +153,7 @@ val active_instruction_count : t -> int
     buried constants don't count either. *)
 
 val fused_group_count : t -> int
-(** Number of fused groups compiled; [0] without [?fusion]. Matches
+(** Number of fused groups compiled; [0] for an unfused plan. Matches
     [Echo_opt.Fusion.stats] on the same graph by construction (both derive
     from {!Echo_ir.Fuse.analyse}). *)
 
@@ -168,17 +163,17 @@ val fused_interior_count : t -> int
 
 val footprint_bytes : t -> int
 (** Device-accounted (4 bytes/element) footprint of the compiled artifact:
-    persistent + transient pool + max workspace. Equal to
-    [(Memplan.plan graph).arena_bytes] by construction — the differential
-    test suite asserts this. *)
+    persistent + transient pool + max workspace. Equal to the plan's
+    [arena_bytes] by construction — the differential test suite asserts
+    this. *)
 
 val transient_bytes : t -> int
 val persistent_bytes : t -> int
 
 val buffer_binding : t -> (Node.t * int) list
-(** The compile-time buffer binding: [(node, physical buffer id)] for every
-    transient slot that materialises (fused interiors and buried constants
-    are absent), in schedule order. Two nodes share a physical buffer iff
+(** The plan's buffer binding: [(node, physical buffer id)] for every
+    transient slot that materialises (fused interiors are absent), in
+    schedule order. Two nodes share a physical buffer iff
     they carry the same id — the verification layer
     ({!Echo_analysis.Verify}) re-derives liveness from scratch and proves no
     two overlapping-live nodes share one. *)

@@ -12,7 +12,7 @@ let numeric_grad ~loss ~feeds ~wrt ~eps =
   (* Compile the loss graph once; every perturbation is then one executor
      sweep. The scratch feed is aliased into the executor, so mutating it in
      place between runs re-feeds the perturbed parameter for free. *)
-  let exe = Executor.compile (Graph.create [ loss ]) in
+  let exe = Executor.compile (Echo_exec.Memplan.plan (Graph.create [ loss ])) in
   let scratch = Tensor.copy base in
   List.iter
     (fun (n, v) -> Executor.feed exe n (if n == wrt then scratch else v))
@@ -44,7 +44,9 @@ let compare_grads ~param ~analytic ~numeric =
 
 let check ?(eps = 1e-5) ?(tol = 1e-5) ~loss ~feeds ~wrt () =
   let training = Echo_autodiff.Grad.differentiate ~loss ~wrt in
-  let exe = Executor.compile training.Echo_autodiff.Grad.graph in
+  let exe =
+    Executor.compile (Echo_exec.Memplan.plan training.Echo_autodiff.Grad.graph)
+  in
   let outputs = Array.of_list (Executor.eval exe ~feeds) in
   (* Graph outputs are the loss followed by every gradient in [wrt] order;
      copy the analytic gradients out of the executor's buffers before the

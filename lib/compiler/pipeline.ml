@@ -73,7 +73,6 @@ let rewrite ?(device = Echo_gpusim.Device.titan_xp) ?policy ?planner
 type planned = {
   rewritten : rewritten;
   graph : Graph.t;
-  liveness : Echo_exec.Liveness.t;
   memplan : Echo_exec.Memplan.report;
   offsets : Echo_exec.Assign.t option;
 }
@@ -82,7 +81,6 @@ let plan ?(offsets = false) (rw : rewritten) =
   {
     rewritten = rw;
     graph = rw.graph;
-    liveness = Echo_exec.Liveness.analyse rw.graph;
     (* The rewrite stage already measured the rewritten graph; reuse it
        rather than planning a third time. *)
     memplan = rw.report.Echo_core.Pass.optimised_mem;
@@ -172,31 +170,23 @@ let verify stage =
       f.graph
 
 (* The race checker over a compiled executable: every artifact the
-   executor actually carries — its runtime, fusion plan, buffer binding
-   and the liveness intervals it frees against — handed to
-   [Race.check]. *)
+   executor actually carries — its runtime, and from the plan it consumed
+   the fusion plan, buffer binding and the liveness intervals it frees
+   against — handed to [Race.check]. *)
 let race_verify e =
-  let f = e.fused in
   let executor = e.executor in
-  let intervals =
-    List.map
-      (fun itv ->
-        Echo_exec.Liveness.
-          (Node.id itv.node, itv.def_step, itv.last_step))
-      (Echo_exec.Liveness.intervals
-         (Echo_exec.Liveness.analyse ?fusion:f.fusion f.graph))
-  in
-  Echo_analysis.Race.check ?fusion:f.fusion ~intervals
+  let plan = Executor.plan executor in
+  Echo_analysis.Race.check ?fusion:plan.Echo_exec.Memplan.fusion
+    ~intervals:(Echo_exec.Memplan.intervals plan)
     ~binding:(Executor.buffer_binding executor)
-    ~runtime:(Executor.runtime executor) f.graph
+    ~runtime:(Executor.runtime executor) (Executor.graph executor)
 
 let compile ?budget_bytes ?runtime ?sanitize (f : fused) =
   let e =
     {
       fused = f;
       executor =
-        Executor.compile ?budget_bytes ?runtime ?fusion:f.fusion ?sanitize
-          f.graph;
+        Executor.compile ?budget_bytes ?runtime ?sanitize f.fused_memplan;
     }
   in
   (* ECHO_VERIFY=1: every compile self-certifies; error findings abort.
@@ -289,8 +279,6 @@ let compile_source ?device ?optimize:(opt_enabled = true) ?policy ?planner
   compile ?budget_bytes ?runtime ?sanitize
     (fuse_stage ?enabled:fuse ?runtime
        (plan (rewrite ?device ?policy ?planner opt)))
-
-let validated_eval (pl : planned) ~feeds = Echo_exec.Arena_exec.eval pl.graph ~feeds
 
 let describe fmt e =
   let pl = e.fused.planned in

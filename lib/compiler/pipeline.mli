@@ -8,7 +8,7 @@
       source      --differentiate-->  training     (autodiff: loss + grads)
       training    --optimize------->  optimized    (fold + CSE)
       optimized   --rewrite-------->  rewritten    (the Echo pass)
-      rewritten   --plan----------->  planned      (liveness + memplan + assign)
+      rewritten   --plan----------->  planned      (memplan + assign)
       planned     --fuse----------->  fused        (elementwise chain groups)
       fused       --compile-------->  executable   (slot-based executor)
     v}
@@ -102,23 +102,17 @@ val rewrite :
 type planned = {
   rewritten : rewritten;
   graph : Graph.t;
-  liveness : Echo_exec.Liveness.t;
   memplan : Echo_exec.Memplan.report;
   offsets : Echo_exec.Assign.t option;
       (** static byte-offset assignment; request with [plan ~offsets:true] *)
 }
 
 val plan : ?offsets:bool -> rewritten -> planned
-(** Liveness analysis + memory plan. [offsets] (default [false]) also runs
+(** The memory plan and its buffer binding. [offsets] (default [false]) also runs
     the planner's static offset assigner ({!Echo_core.Planner.assigner} —
     greedy best-fit unless the planner overrides it, as [olla-arena] does),
     which is quadratic-ish and only needed when the arena layout itself is
     inspected. *)
-
-val validated_eval : planned -> feeds:Echo_exec.Interp.feeds -> Echo_tensor.Tensor.t list
-(** Evaluate the planned graph through the liveness-validating
-    {!Echo_exec.Arena_exec} — certifies that the plan's death steps are
-    sound. @raise Echo_exec.Arena_exec.Freed_too_early on a planner bug. *)
 
 (** {1 Fused stage} *)
 
@@ -128,9 +122,8 @@ type fused = {
   fusion : Fuse.plan option;
       (** [None] when the stage is disabled — nothing fuses *)
   fused_memplan : Echo_exec.Memplan.report;
-      (** the plan the executor's footprint will match: planned under the
-          fusion plan when enabled, identical to [planned.memplan] when
-          disabled *)
+      (** the plan the executor consumes: planned under the fusion plan
+          when enabled, identical to [planned.memplan] when disabled *)
 }
 
 val fuse : ?enabled:bool -> ?runtime:Echo_tensor.Parallel.t -> planned -> fused
@@ -207,8 +200,9 @@ val race_verify : executable -> Echo_diag.Report.t
     ({!Echo_analysis.Race.check}) over everything the compiled executable
     carries: its kernel runtime (chunk coverage and disjointness of every
     fanned-out instruction, in-place alias legality, false-sharing lint),
-    its fusion plan (sweep extents), its liveness intervals (no buffer
-    recycled under a pending read) and its buffer binding (no two
+    and, from the memory plan it was compiled from, its fusion plan
+    (sweep extents), its liveness intervals (no buffer recycled under a
+    pending read) and its buffer binding (no two
     address-overlapping live values). A sound executable has no error
     findings at any domain count. Also runs automatically — alongside
     {!verify} — inside {!compile} under [ECHO_VERIFY=1]. *)

@@ -11,6 +11,11 @@ type report = {
   breakdown : (Category.t * int) list;
   node_count : int;
   step_of_backward_start : int option;
+  graph : Graph.t;
+  fusion : Fuse.plan option;
+  slot_buffer : int array;
+  buffer_numel : int array;
+  slot_expiry : int array;
 }
 
 (* Elementwise operators may write their result into a dying input's buffer
@@ -31,9 +36,12 @@ let inplace_capable node =
   | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ ->
     false
 
-let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
-  let liveness = Liveness.analyse ?fusion graph in
+let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
+  let liveness =
+    match liveness with Some l -> l | None -> Liveness.analyse ?fusion graph
+  in
   let schedule = Graph.nodes graph in
+  let steps = List.length schedule in
   (* Fused interiors never materialize: no allocation, no liveness, and the
      in-place candidates of a group root are the group's external inputs —
      the buffers its fused instruction actually reads. *)
@@ -56,17 +64,27 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
       | _ -> ())
     schedule;
   let persistent = !weight_bytes + !input_bytes in
-  (* Exact-size free pool: size -> number of free buffers. *)
-  let pool : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* The binding: buffer ids are handed out in allocation (= first-use)
+     order; a slot keeps [-1] when it owns no transient buffer. *)
+  let slot_buffer = Array.make steps (-1) in
+  let slot_expiry = Array.make steps max_int in
+  let numels = ref [] and next_bid = ref 0 in
+  let slot_of node =
+    (Liveness.interval liveness (Node.id node)).Liveness.def_step
+  in
+  (* Exact-size free pool: size -> LIFO stack of free buffer ids. *)
+  let pool : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
   let pool_take size =
     match Hashtbl.find_opt pool size with
-    | Some n when n > 0 ->
-      Hashtbl.replace pool size (n - 1);
-      true
-    | Some _ | None -> false
+    | Some ({ contents = b :: rest } as l) ->
+      l := rest;
+      Some b
+    | Some { contents = [] } | None -> None
   in
-  let pool_put size =
-    Hashtbl.replace pool size (1 + try Hashtbl.find pool size with Not_found -> 0)
+  let pool_put size b =
+    match Hashtbl.find_opt pool size with
+    | Some l -> l := b :: !l
+    | None -> Hashtbl.replace pool size (ref [ b ])
   in
   let category = Hashtbl.create 1024 in
   let cat_of n =
@@ -90,43 +108,56 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
   (* Inputs whose buffer was handed over to an in-place consumer: they must
      not be freed again when their death step is processed. *)
   let transferred : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let try_inplace step node liveness =
-    inplace_capable node
-    &&
+  let try_inplace step node =
+    if not (inplace && inplace_capable node) then None
+    else begin
+      let size = Node.size_bytes node in
+      let eligible input =
+        (not (Liveness.is_persistent input))
+        && Node.size_bytes input = size
+        && (not (Hashtbl.mem transferred (Node.id input)))
+        && (not (Graph.is_output graph (Node.id input)))
+        &&
+        match Liveness.interval liveness (Node.id input) with
+        | itv -> itv.Liveness.last_step = step
+        | exception Not_found -> false
+      in
+      match List.find_opt eligible (inplace_inputs node) with
+      | None -> None
+      | Some input ->
+        Hashtbl.replace transferred (Node.id input) ();
+        let from_cat = Category.index (cat_of input) in
+        let to_cat = Category.index (cat_of node) in
+        live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
+        live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
+        Some slot_buffer.(slot_of input)
+    end
+  in
+  let allocate node =
     let size = Node.size_bytes node in
-    let eligible input =
-      (not (Liveness.is_persistent input))
-      && Node.size_bytes input = size
-      && (not (Hashtbl.mem transferred (Node.id input)))
-      && (not (Graph.is_output graph (Node.id input)))
-      &&
-      match Liveness.interval liveness (Node.id input) with
-      | itv -> itv.Liveness.last_step = step
-      | exception Not_found -> false
-    in
-    match List.find_opt eligible (inplace_inputs node) with
-    | None -> false
-    | Some input ->
-      Hashtbl.replace transferred (Node.id input) ();
-      let from_cat = Category.index (cat_of input) in
-      let to_cat = Category.index (cat_of node) in
-      live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
-      live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
-      true
+    live := !live + size;
+    let ci = Category.index (cat_of node) in
+    live_by_cat.(ci) <- live_by_cat.(ci) + size;
+    match if reuse then pool_take size else None with
+    | Some bid -> bid
+    | None ->
+      arena := !arena + size;
+      numels := Echo_tensor.Shape.numel (Node.shape node) :: !numels;
+      incr next_bid;
+      !next_bid - 1
   in
   List.iteri
     (fun step node ->
       if !bwd_start = None && Node.region node = Node.Backward then
         bwd_start := Some step;
-      if (not (Liveness.is_persistent node)) && not (interior node) then begin
-        if not (inplace && try_inplace step node liveness) then begin
-          let size = Node.size_bytes node in
-          if not (reuse && pool_take size) then arena := !arena + size;
-          live := !live + size;
-          let ci = Category.index (cat_of node) in
-          live_by_cat.(ci) <- live_by_cat.(ci) + size
-        end
-      end;
+      (match Liveness.interval liveness (Node.id node) with
+      | itv -> slot_expiry.(step) <- itv.Liveness.last_step
+      | exception Not_found -> ());
+      if (not (Liveness.is_persistent node)) && not (interior node) then
+        slot_buffer.(step) <-
+          (match try_inplace step node with
+          | Some bid -> bid
+          | None -> allocate node);
       let ws = Workspace.bytes node in
       if ws > !max_ws then max_ws := ws;
       let candidate = persistent + !live + ws in
@@ -143,7 +174,7 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
             live := !live - size;
             let ci = Category.index (cat_of dying) in
             live_by_cat.(ci) <- live_by_cat.(ci) - size;
-            pool_put size
+            pool_put size slot_buffer.(slot_of dying)
           end)
         (Liveness.dying_at liveness step))
     schedule;
@@ -161,9 +192,22 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
     stash_bytes = Liveness.stash_bytes liveness graph;
     max_workspace_bytes = !max_ws;
     breakdown;
-    node_count = List.length schedule;
+    node_count = steps;
     step_of_backward_start = !bwd_start;
+    graph;
+    fusion;
+    slot_buffer;
+    buffer_numel = Array.of_list (List.rev !numels);
+    slot_expiry;
   }
+
+let intervals r =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun step node ->
+         if r.slot_buffer.(step) < 0 then None
+         else Some (Node.id node, step, r.slot_expiry.(step)))
+       (Graph.nodes r.graph))
 
 let reduction_factor ~baseline optimised =
   float_of_int baseline.arena_bytes /. float_of_int optimised.arena_bytes

@@ -11,6 +11,7 @@ open Echo_ir
 open Echo_models
 module Pipeline = Echo_compiler.Pipeline
 module Executor = Echo_compiler.Executor
+module Memplan = Echo_exec.Memplan
 
 let check_bool = Alcotest.(check bool)
 
@@ -35,7 +36,7 @@ let synthetic_feeds ?(scale = 1.0) rng_seed g =
     (Graph.nodes g)
 
 let eval_both g ~feeds =
-  let exe = Executor.compile g in
+  let exe = Executor.compile (Memplan.plan g) in
   (Echo_exec.Interp.eval g ~feeds, Executor.eval exe ~feeds)
 
 (* Property: on random square-shaped DAGs (including all four matmul
@@ -66,7 +67,7 @@ let prop_executor_differential =
         pool := n :: !pool
       done;
       let g = Graph.create [ List.hd !pool ] in
-      let exe = Executor.compile g in
+      let exe = Executor.compile (Memplan.plan g) in
       let identical_run scale =
         let feeds = synthetic_feeds ~scale seed g in
         let reference = Echo_exec.Interp.eval g ~feeds in
@@ -76,11 +77,10 @@ let prop_executor_differential =
       (* Two runs with different feeds through the SAME executor: a buffer
          holding stale step-1 state would break the second comparison. *)
       identical_run 1.0 && identical_run 0.25
-      && Executor.footprint_bytes exe
-         = (Echo_exec.Memplan.plan g).Echo_exec.Memplan.arena_bytes
-      && Executor.footprint_bytes (Executor.compile ~inplace:false g)
-         = (Echo_exec.Memplan.plan ~inplace:false g).Echo_exec.Memplan
-             .arena_bytes)
+      && Executor.footprint_bytes exe = (Memplan.plan g).Memplan.arena_bytes
+      && Executor.footprint_bytes
+           (Executor.compile (Memplan.plan ~inplace:false g))
+         = (Memplan.plan ~inplace:false g).Memplan.arena_bytes)
 
 (* Model training graphs: compiled executor vs interpreter, bitwise. *)
 let model_differential ?(id_bound = 20) model =
@@ -102,10 +102,10 @@ let model_differential ?(id_bound = 20) model =
   let reference, compiled = eval_both g ~feeds in
   check_bool (model.Model.name ^ " bit-identical") true
     (List.for_all2 Tensor.equal reference compiled);
-  let exe = Executor.compile g in
+  let exe = Executor.compile (Memplan.plan g) in
   Alcotest.(check int)
     (model.Model.name ^ " footprint == plan")
-    (Echo_exec.Memplan.plan g).Echo_exec.Memplan.arena_bytes
+    (Memplan.plan g).Memplan.arena_bytes
     (Executor.footprint_bytes exe)
 
 let test_lm_differential () =
@@ -216,10 +216,14 @@ let test_pipeline_stages_compose () =
   let compiled = Executor.eval (Pipeline.executor exe) ~feeds in
   check_bool "echo-rewritten executable bit-identical" true
     (List.for_all2 Tensor.equal reference compiled);
-  (* The arena-validating reference executor accepts the same plan. *)
-  let validated = Pipeline.validated_eval (Pipeline.planned_of exe) ~feeds in
-  check_bool "arena exec agrees" true
-    (List.for_all2 Tensor.equal reference validated)
+  (* The same plan compiled under the Cells sanitizer, which refuses any
+     read of a buffer the plan recycled too early. *)
+  let sanitized =
+    Executor.compile ~sanitize:Echo_analysis.Sanitize.Cells
+      (Executor.plan (Pipeline.executor exe))
+  in
+  check_bool "sanitized executor agrees" true
+    (List.for_all2 Tensor.equal reference (Executor.eval sanitized ~feeds))
 
 (* Kernel runtime differential: the same LM training graph — loss and all
    gradients — must come out bitwise identical from the interpreter, the
@@ -287,7 +291,7 @@ let test_runtime_differential () =
               ~runtime:
                 (Parallel.with_config ~blocking_threshold:threshold
                    Parallel.sequential)
-              g)
+              (Memplan.plan g))
            ~feeds);
       List.iter
         (fun d ->
@@ -298,7 +302,9 @@ let test_runtime_differential () =
           Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
           check_engine
             (Printf.sprintf "%s %d-domain executor" path d)
-            (Executor.eval (Executor.compile ~runtime:pool g) ~feeds))
+            (Executor.eval
+               (Executor.compile ~runtime:pool (Memplan.plan g))
+               ~feeds))
         [ 1; 2; 4 ])
     [ max_int; 0 ]
 
@@ -335,14 +341,14 @@ let prop_fused_differential =
       done;
       let g = Graph.create [ List.hd !pool ] in
       let fusion = Fuse.analyse g in
-      let fused = Executor.compile ~fusion g in
-      let unfused = Executor.compile g in
+      let fused = Executor.compile (Memplan.plan ~fusion g) in
+      let unfused = Executor.compile (Memplan.plan g) in
       let feeds = synthetic_feeds seed g in
       let a = Executor.eval fused ~feeds in
       let b = Executor.eval unfused ~feeds in
       List.for_all2 bits_equal a b
       && Executor.footprint_bytes fused
-         = (Echo_exec.Memplan.plan ~fusion g).Echo_exec.Memplan.arena_bytes
+         = (Memplan.plan ~fusion g).Memplan.arena_bytes
       && Executor.fused_group_count fused = Fuse.group_count fusion
       && Executor.fused_interior_count fused = Fuse.interior_count fusion)
 
@@ -437,15 +443,14 @@ let test_fused_interiors_slotless () =
     (List.fold_left
        (fun acc g -> acc + Fuse.interior_bytes g)
        0 (Fuse.groups fusion));
-  let exe = Executor.compile ~fusion g in
+  let exe = Executor.compile (Memplan.plan ~fusion g) in
   Alcotest.(check int) "one active instruction" 1
     (Executor.active_instruction_count exe);
   Alcotest.(check int) "measured footprint == fused plan"
-    (Echo_exec.Memplan.plan ~fusion g).Echo_exec.Memplan.arena_bytes
+    (Memplan.plan ~fusion g).Memplan.arena_bytes
     (Executor.footprint_bytes exe);
   let arena ?fusion () =
-    (Echo_exec.Memplan.plan ~inplace:false ?fusion g).Echo_exec.Memplan
-      .arena_bytes
+    (Memplan.plan ~inplace:false ?fusion g).Memplan.arena_bytes
   in
   check_bool "interiors freed the arena" true (arena ~fusion () < arena ())
 
@@ -470,7 +475,7 @@ let test_fusion_stats_match_executor () =
     (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph
   in
   let stats = Echo_opt.Fusion.analyse g in
-  let exe = Executor.compile ~fusion:(Fuse.analyse g) g in
+  let exe = Executor.compile (Memplan.plan ~fusion:(Fuse.analyse g) g) in
   Alcotest.(check int) "group counts agree" stats.Echo_opt.Fusion.groups
     (Executor.fused_group_count exe);
   Alcotest.(check int) "interior counts agree"
@@ -536,7 +541,7 @@ let test_missing_feeds_aggregated () =
      with Echo_exec.Interp.Missing_feed msg -> both_named msg);
   check_bool "executor lists both" true
     (try
-       ignore (Executor.eval (Executor.compile g) ~feeds:[]);
+       ignore (Executor.eval (Executor.compile (Memplan.plan g)) ~feeds:[]);
        false
      with Echo_exec.Interp.Missing_feed msg -> both_named msg)
 

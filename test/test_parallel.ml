@@ -12,6 +12,7 @@ open Echo_tensor
 open Echo_ir
 open Echo_models
 module Executor = Echo_compiler.Executor
+module Memplan = Echo_exec.Memplan
 module Fusion = Echo_opt.Fusion
 module A = Echo_core.Autotune
 
@@ -192,14 +193,16 @@ let test_executor_repeated_runs_deterministic () =
   in
   let reference =
     List.map bits
-      (Executor.eval (Executor.compile ~runtime:Parallel.sequential g) ~feeds)
+      (Executor.eval
+         (Executor.compile ~runtime:Parallel.sequential (Memplan.plan g))
+         ~feeds)
   in
   let pool =
     Parallel.create ~domains:4 ~oversubscribe:true ~min_fanout_work:0 ()
   in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   let fusion = Fuse.analyse g in
-  let exe = Executor.compile ~runtime:pool ~fusion g in
+  let exe = Executor.compile ~runtime:pool (Memplan.plan ~fusion g) in
   for run = 1 to 3 do
     check_bool
       (Printf.sprintf "fused 4-domain run %d bit-identical" run)
@@ -295,14 +298,16 @@ let test_fit_exec_search () =
     in
     let g' = choice.A.chosen.A.graph in
     let reference =
-      Executor.eval (Executor.compile ~runtime:Parallel.sequential g') ~feeds
+      Executor.eval
+        (Executor.compile ~runtime:Parallel.sequential (Memplan.plan g'))
+        ~feeds
     in
     let runtime = A.combo_runtime choice.A.combo in
     Fun.protect ~finally:(fun () -> Parallel.shutdown runtime) @@ fun () ->
     let exe =
       if choice.A.combo.A.fuse then
-        Executor.compile ~runtime ~fusion:(Fuse.analyse g') g'
-      else Executor.compile ~runtime g'
+        Executor.compile ~runtime (Memplan.plan ~fusion:(Fuse.analyse g') g')
+      else Executor.compile ~runtime (Memplan.plan g')
     in
     check_bool "tuned combo bit-identical" true
       (List.for_all2

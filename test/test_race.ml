@@ -24,6 +24,7 @@ module Mutate = Echo_analysis.Mutate
 module Pipeline = Echo_compiler.Pipeline
 module Executor = Echo_compiler.Executor
 module Liveness = Echo_exec.Liveness
+module Memplan = Echo_exec.Memplan
 module Report = Echo_diag.Report
 module Loop = Echo_train.Loop
 module Optimizer = Echo_train.Optimizer
@@ -207,27 +208,68 @@ let toy_training () =
   in
   (training.Echo_autodiff.Grad.graph, feeds)
 
-(* A corrupted liveness plan compiled into a real executor: the arena
-   recycles the victim's buffer under its still-pending read, and the
-   Cells-mode sanitizer must refuse the step. *)
-let test_sanitizer_catches_shrunk_lifetime () =
-  let g, feeds = toy_training () in
-  let live = Liveness.analyse g in
-  (* the clean plan runs sanitized without findings *)
-  let clean = Executor.compile ~sanitize:Sanitize.Full g in
-  ignore (Executor.eval clean ~feeds);
-  let corrupted = require "shrink_lifetime" (Mutate.shrink_lifetime live) in
-  let exe =
-    Executor.compile
-      ~liveness:(Liveness.of_intervals ~steps:(Liveness.step_count live) corrupted)
-      ~sanitize:Sanitize.Cells g
-  in
+let expect_stale_read exe ~feeds =
   match Executor.eval exe ~feeds with
   | _ -> Alcotest.fail "sanitizer accepted a read past the plan's expiry"
   | exception Sanitize.Sanitize_failed report ->
     check_bool "expired read flagged" true
       (has_error ~check:"sanitize-expired" report
       || has_error ~check:"sanitize-stale" report)
+
+(* A corrupted liveness plan compiled into a real executor: the planner
+   recycles the victim's buffer under its still-pending read, and the
+   Cells-mode sanitizer must refuse the step. *)
+let test_sanitizer_catches_shrunk_lifetime () =
+  let g, feeds = toy_training () in
+  let live = Liveness.analyse g in
+  (* the clean plan runs sanitized without findings *)
+  let clean = Executor.compile ~sanitize:Sanitize.Full (Memplan.plan g) in
+  ignore (Executor.eval clean ~feeds);
+  let corrupted = require "shrink_lifetime" (Mutate.shrink_lifetime live) in
+  let plan =
+    Memplan.plan
+      ~liveness:(Liveness.of_intervals ~steps:(Liveness.step_count live) corrupted)
+      g
+  in
+  expect_stale_read (Executor.compile ~sanitize:Sanitize.Cells plan) ~feeds
+
+(* A foreign binding: the plan's expiries are sound, but a later node is
+   handed a still-pending victim's buffer id. The executor materialises
+   exactly the binding it is given, so the write lands on the victim's
+   cells before its last read, and the sanitizer must refuse the step. *)
+let test_sanitizer_catches_foreign_binding () =
+  let g, feeds = toy_training () in
+  let plan = Memplan.plan ~inplace:false g in
+  let nb = plan.Memplan.slot_buffer and numel = plan.Memplan.buffer_numel in
+  let steps = Array.length nb in
+  (* victim slot v, read last at e > v + 1; a slot s strictly between them
+     owning a different buffer of the same size takes the victim's id *)
+  let pick =
+    List.find_map
+      (fun v ->
+        let e = plan.Memplan.slot_expiry.(v) in
+        if nb.(v) < 0 || e = max_int then None
+        else
+          List.find_map
+            (fun s ->
+              if
+                nb.(s) >= 0
+                && nb.(s) <> nb.(v)
+                && numel.(nb.(s)) = numel.(nb.(v))
+              then Some (s, nb.(v))
+              else None)
+            (List.init (max 0 (e - v - 1)) (fun k -> v + 1 + k)))
+      (List.init steps Fun.id)
+  in
+  let s, victim = require "a pending victim and a same-size writer" pick in
+  let slot_buffer = Array.copy nb in
+  slot_buffer.(s) <- victim;
+  let clean = Executor.compile ~sanitize:Sanitize.Cells plan in
+  ignore (Executor.eval clean ~feeds);
+  expect_stale_read
+    (Executor.compile ~sanitize:Sanitize.Cells
+       { plan with Memplan.slot_buffer })
+    ~feeds
 
 (* The sanitizer state machine itself, driven directly: each check name
    fires on the hand-made corruption built for it. *)
@@ -445,7 +487,7 @@ let prop_sanitizer_transparent =
       let fusion = if fuse then Some (Fuse.analyse g) else None in
       with_fanout domains (fun runtime ->
           let compile sanitize =
-            Executor.compile ~runtime ?fusion ~sanitize g
+            Executor.compile ~runtime ~sanitize (Memplan.plan ?fusion g)
           in
           let reference = Executor.eval (compile Sanitize.Off) ~feeds in
           let sanitized = Executor.eval (compile mode) ~feeds in
@@ -486,6 +528,8 @@ let suite =
           test_fused_interior_checker_fires;
         Alcotest.test_case "sanitizer catches a shrunk lifetime at runtime"
           `Quick test_sanitizer_catches_shrunk_lifetime;
+        Alcotest.test_case "sanitizer catches a foreign binding at runtime"
+          `Quick test_sanitizer_catches_foreign_binding;
         Alcotest.test_case "sanitizer unit checks all fire" `Quick
           test_sanitizer_unit_checks;
         Alcotest.test_case "sanitized training is bit-identical" `Quick

@@ -1,5 +1,5 @@
-(* The executor-validation substrate: liveness-validating execution, static
-   offset assignment, and graph serialization. *)
+(* The executor-validation substrate: sanitized plan-driven execution,
+   static offset assignment, and graph serialization. *)
 
 open Echo_tensor
 open Echo_ir
@@ -33,54 +33,60 @@ let lm_setup () =
   in
   ((Model.training lm.Language_model.model).Echo_autodiff.Grad.graph, feeds)
 
-(* Arena executor *)
+(* Plan-driven executor under the Cells sanitizer: every read is checked
+   against the plan's buffer binding, so a buffer recycled before its last
+   read fails the step instead of silently corrupting it. *)
 
-let test_arena_matches_interp () =
-  let graph, feeds = lm_setup () in
-  let a = Interp.eval graph ~feeds in
-  let b = Arena_exec.eval graph ~feeds in
-  check_bool "bit-identical under recycling" true (List.for_all2 Tensor.equal a b)
+let sanitized plan =
+  Echo_compiler.Executor.compile ~sanitize:Echo_analysis.Sanitize.Cells plan
 
-let test_arena_on_rewritten_graphs () =
+let test_sanitized_matches_interp () =
   let graph, feeds = lm_setup () in
   let baseline = Interp.eval graph ~feeds in
   List.iter
     (fun policy ->
       let rewritten, _ = Echo_core.Pass.run ~device:dev policy graph in
-      let outs = Arena_exec.eval rewritten ~feeds in
+      let outs =
+        Echo_compiler.Executor.eval (sanitized (Memplan.plan rewritten)) ~feeds
+      in
       check_bool
         (Echo_core.Pass.policy_name policy ^ " executable under recycling")
         true
         (List.for_all2 Tensor.equal baseline outs))
     [
+      Echo_core.Pass.Stash_all;
       Echo_core.Pass.Checkpoint_sqrt;
       Echo_core.Pass.Echo { overhead_budget = 0.3 };
       Echo_core.Pass.Recompute_all;
     ]
 
-let test_arena_detects_premature_free () =
-  (* Craft a liveness violation by hand: feed Arena_exec a graph whose node
-     is consumed after its computed death. Using the public API this cannot
-     happen (that is the point) — instead we check that a value really is
-     dropped: peak live count for a chain is 2 (current + next), far below
-     the node count. *)
+let test_chain_two_buffers () =
+  (* A 21-node chain recycles its buffers: at most two are ever allocated,
+     with or without in-place transfers, and the recycled run stays exact. *)
   let x = Node.placeholder [| 4 |] in
   let rec extend acc k = if k = 0 then acc else extend (Node.sq acc) (k - 1) in
   let out = extend (Node.neg x) 20 in
   let g = Graph.create [ out ] in
-  let peak = Arena_exec.max_live_values g ~feeds:[ (x, Tensor.ones [| 4 |]) ] in
-  check_bool "chain runs in O(1) values" true (peak <= 2)
+  let feeds = [ (x, Tensor.ones [| 4 |]) ] in
+  List.iter
+    (fun inplace ->
+      let exe = sanitized (Memplan.plan ~inplace g) in
+      check_bool "chain runs in two buffers" true
+        (Echo_compiler.Executor.transient_bytes exe <= 2 * Node.size_bytes out);
+      check_bool "recycled chain exact" true
+        (List.for_all2 Tensor.equal (Interp.eval g ~feeds)
+           (Echo_compiler.Executor.eval exe ~feeds)))
+    [ true; false ]
 
-let test_arena_echo_peak_below_baseline () =
-  let graph, feeds = lm_setup () in
+let test_echo_peak_comparable () =
+  let graph, _ = lm_setup () in
   let rewritten, _ =
     Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
   in
-  let p0 = Arena_exec.max_live_values graph ~feeds in
-  let p1 = Arena_exec.max_live_values rewritten ~feeds in
-  (* value-count is a crude proxy for bytes, but recomputation should not
-     blow up the number of simultaneously retained values *)
-  check_bool "retained values comparable" true (p1 <= p0 * 2)
+  let p0 = (Memplan.plan graph).Memplan.live_peak_bytes in
+  let p1 = (Memplan.plan rewritten).Memplan.live_peak_bytes in
+  (* recomputation must not blow up the bytes simultaneously retained *)
+  check_bool "retained bytes comparable" true (p1 <= p0 * 2)
 
 (* Static offset assignment *)
 
@@ -228,12 +234,11 @@ let test_serial_file_roundtrip () =
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
-    ( "arena_exec",
+    ( "sanitized_exec",
       [
-        t "matches interp" test_arena_matches_interp;
-        t "rewritten graphs executable" test_arena_on_rewritten_graphs;
-        t "chain runs in O(1) values" test_arena_detects_premature_free;
-        t "echo retained values bounded" test_arena_echo_peak_below_baseline;
+        t "rewritten graphs match interp" test_sanitized_matches_interp;
+        t "chain runs in two buffers" test_chain_two_buffers;
+        t "echo retained bytes bounded" test_echo_peak_comparable;
       ] );
     ( "assign",
       [
