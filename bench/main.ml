@@ -446,23 +446,25 @@ let e14 () =
     (100.0 *. (f1 -. f0) /. f0);
   ignore report
 
+(* The PTB-shaped LM both E15 and E16 run: E15-Full is the lm-train
+   workload's model (vocab 2000, hidden 64, 2 layers, T=35, B=16). *)
+let e15_config () =
+  match !scale with
+  | Full ->
+    { Language_model.ptb_default with vocab = 2000; embed = 64; hidden = 64;
+      layers = 2; seq_len = 35; batch = 16 }
+  | Quick ->
+    { Language_model.ptb_default with vocab = 300; embed = 32; hidden = 32;
+      layers = 2; seq_len = 10; batch = 8 }
+
 (* E15: per-step execution engines — steps/sec of the reference interpreter
-   vs the compiled slot-based executor (with PR 1's naive matmul, with the
-   blocked matmul, and with the blocked matmul under Domain pools of
-   1/2/4), on a PTB-shaped LM training graph. Every engine's outputs are
+   vs the compiled slot-based executor, sequential and under Domain pools
+   of 1/2/4, on a PTB-shaped LM training graph. Every engine's outputs are
    checked bitwise against the interpreter; the numbers land in
    BENCH_E15.json so the perf trajectory is tracked across PRs. *)
 let e15 () =
   heading "E15" "execution engines and kernel runtimes (PTB-shape LM)";
-  let cfg =
-    match !scale with
-    | Full ->
-      { Language_model.ptb_default with vocab = 2000; embed = 64; hidden = 64;
-        layers = 2; seq_len = 35; batch = 16 }
-    | Quick ->
-      { Language_model.ptb_default with vocab = 300; embed = 32; hidden = 32;
-        layers = 2; seq_len = 10; batch = 8 }
-  in
+  let cfg = e15_config () in
   let lm = Language_model.build cfg in
   let graph = training_graph lm.Language_model.model in
   let rng = Rng.create 11 in
@@ -476,19 +478,10 @@ let e15 () =
     :: Params.bindings lm.Language_model.model.Model.params
   in
   let module Executor = Echo_compiler.Executor in
-  (* Per-runtime blocking thresholds: the naive configuration is simply a
-     sequential handle whose threshold never trips — no process-global
-     toggles, so the engines could even run concurrently. *)
-  let seq_naive =
-    Parallel.with_config ~blocking_threshold:max_int Parallel.sequential
-  in
   let c0 = wall () in
   let plan = Memplan.plan graph in
   let exe_seq = Executor.compile ~runtime:Parallel.sequential plan in
   let compile_s = wall () -. c0 in
-  let exe_naive = Executor.compile ~runtime:seq_naive plan in
-  (* Reference outputs: the interpreter — blocked and naive matmuls are
-     bit-identical by construction, so this is the exact PR 1 numerics. *)
   let interp_outs = Interp.eval graph ~feeds in
   let steps = match !scale with Full -> 10 | Quick -> 3 in
   let steps_per_sec f =
@@ -524,129 +517,133 @@ let e15 () =
   in
   row "%-34s %8.2f steps/s@." "reference interpreter" interp_sps;
   record "interp" interp_sps;
-  let naive_sps =
-    measure "executor (naive matmul, seq)" "executor_naive" exe_naive
-  in
-  let blocked_sps =
-    measure "executor (blocked matmul, seq)" "executor_blocked" exe_seq
-  in
+  let seq_sps = measure "executor (seq)" "executor_seq" exe_seq in
   List.iter
     (fun domains ->
       let runtime = Parallel.create ~domains () in
       let exe = Executor.compile ~runtime plan in
       ignore
         (measure
-           (Printf.sprintf "executor (blocked, %d domain%s)" domains
+           (Printf.sprintf "executor (%d domain%s)" domains
               (if domains = 1 then "" else "s"))
            (Printf.sprintf "executor_parallel_%dd" domains)
            exe);
       Parallel.shutdown runtime)
     [ 1; 2; 4 ];
-  row "blocked vs PR1-naive executor: %.2fx; executor vs interp: %.2fx@."
-    (blocked_sps /. naive_sps) (blocked_sps /. interp_sps);
+  row "executor (seq) vs interp: %.2fx@." (seq_sps /. interp_sps);
   row "all engines bit-identical to the interpreter: %b@." !all_identical;
-  record "blocked_over_naive" (blocked_sps /. naive_sps);
+  record "executor_over_interp" (seq_sps /. interp_sps);
   record "identical" (if !all_identical then 1.0 else 0.0);
   record_json "E15" (List.rev !json)
 
-(* E16: matmul kernel micro-bench — GFLOP/s by size for the naive loops,
-   the cache-blocked/packed kernel, and the blocked kernel on a 2-domain
-   pool; plus the four transpose variants at the headline size. Each
-   configuration is checked bitwise against the naive kernel first. *)
+(* E16: the matmul micro-kernel at the E15 LM's hot shapes — the distinct
+   (variant, m, k, n) matmuls of its training graph, heaviest total flops
+   first (at Full scale, the six shapes that make up most of an lm-train
+   step). Each shape is bit-checked against a scalar oracle first, then
+   timed sequentially and on a 2-domain pool. *)
 let e16 () =
-  heading "E16" "matmul kernel GFLOP/s (naive vs blocked vs parallel)";
+  heading "E16" "matmul micro-kernel GFLOP/s at the LM's hot shapes";
   let module I = Tensor.Into in
-  (* Per-runtime thresholds: one handle per matmul configuration instead of
-     toggling a process-global. *)
-  let rt_naive =
-    Parallel.with_config ~blocking_threshold:max_int Parallel.sequential
+  let lm = Language_model.build (e15_config ()) in
+  let graph = training_graph lm.Language_model.model in
+  let shapes = Hashtbl.create 8 in
+  List.iter
+    (fun node ->
+      match (Node.op node, Node.inputs node) with
+      | Op.Matmul { trans_a; trans_b }, [ a; b ] ->
+        let sa = Node.shape a and sb = Node.shape b in
+        let m, k = if trans_a then (sa.(1), sa.(0)) else (sa.(0), sa.(1)) in
+        let n = if trans_b then sb.(0) else sb.(1) in
+        let key = (trans_a, trans_b, m, k, n) in
+        Hashtbl.replace shapes key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt shapes key))
+      | _ -> ())
+    (Graph.nodes graph);
+  let hot =
+    Hashtbl.fold (fun key count acc -> (key, count) :: acc) shapes []
+    |> List.sort (fun ((_, _, m, k, n), c) ((_, _, m', k', n'), c') ->
+           compare (c' * m' * k' * n') (c * m * k * n))
+    |> List.filteri (fun i _ -> i < 6)
   in
-  let rt_blocked =
-    Parallel.with_config ~blocking_threshold:0 Parallel.sequential
+  (* The documented semantics, scalar: each element accumulates in
+     ascending l from 0.0, skipping terms whose a(i,l) is exactly 0. *)
+  let oracle ~trans_a ~trans_b ~m ~n ~k a b =
+    Tensor.init [| m; n |] (fun idx ->
+        let i = idx.(0) and j = idx.(1) in
+        let acc = ref 0.0 in
+        for l = 0 to k - 1 do
+          let x =
+            if trans_a then Tensor.get a [| l; i |] else Tensor.get a [| i; l |]
+          in
+          if x <> 0.0 then
+            acc :=
+              !acc
+              +. x
+                 *. (if trans_b then Tensor.get b [| j; l |]
+                     else Tensor.get b [| l; j |])
+        done;
+        !acc)
+  in
+  let bits_equal x y =
+    let ok = ref true in
+    for i = 0 to Tensor.numel x - 1 do
+      if
+        Int64.bits_of_float (Tensor.get1 x i)
+        <> Int64.bits_of_float (Tensor.get1 y i)
+      then ok := false
+    done;
+    !ok
   in
   let rng = Rng.create 77 in
-  let pool2 =
-    Parallel.create ~domains:2 ~blocking_threshold:0 ()
-  in
-  let json = ref [] in
-  let gflops ~m ~n ~k ~reps f =
+  let pool2 = Parallel.create ~domains:2 () in
+  let budget = match !scale with Full -> 0.3 | Quick -> 0.05 in
+  let gflops ~m ~n ~k f =
     f () (* warm-up *);
     let t0 = wall () in
-    for _ = 1 to reps do f () done;
-    2.0 *. float_of_int (m * n * k) *. float_of_int reps
+    let reps = ref 0 in
+    while wall () -. t0 < budget do
+      f ();
+      incr reps
+    done;
+    2.0 *. float_of_int (m * n * k) *. float_of_int !reps
     /. Float.max (wall () -. t0) 1e-9 /. 1e9
   in
-  let bench_size size =
-    let m = size and n = size and k = size in
-    let a = Tensor.uniform rng [| m; k |] ~lo:(-1.0) ~hi:1.0 in
-    let b = Tensor.uniform rng [| k; n |] ~lo:(-1.0) ~hi:1.0 in
-    let dst = Tensor.zeros [| m; n |] in
-    let reference = Tensor.zeros [| m; n |] in
-    I.matmul ~runtime:rt_naive a b ~dst:reference;
-    I.matmul ~runtime:rt_blocked a b ~dst;
-    let ok = Tensor.equal reference dst in
-    let reps =
-      match !scale with
-      | Full -> max 1 (50_000_000 / (m * n * k))
-      | Quick -> max 1 (10_000_000 / (m * n * k))
-    in
-    let naive =
-      gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:rt_naive a b ~dst)
-    in
-    let blocked =
-      gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:rt_blocked a b ~dst)
-    in
-    let parallel2 =
-      gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:pool2 a b ~dst)
-    in
-    row
-      "%4dx%4dx%4d  naive %6.2f  blocked %6.2f (%4.2fx)  2-domain %6.2f \
-       GFLOP/s  (%s)@."
-      m n k naive blocked (blocked /. naive) parallel2
-      (if ok then "bit-identical" else "MISMATCH");
-    json :=
-      (Printf.sprintf "naive_%d" size, naive)
-      :: (Printf.sprintf "blocked_%d" size, blocked)
-      :: (Printf.sprintf "parallel2_%d" size, parallel2)
-      :: (Printf.sprintf "identical_%d" size, if ok then 1.0 else 0.0)
-      :: !json
-  in
-  let sizes = match !scale with Full -> [ 64; 128; 256 ] | Quick -> [ 32; 64; 128 ] in
-  List.iter bench_size sizes;
-  (* Transpose variants at one size: the packed path must win on all four. *)
-  let tsize = match !scale with Full -> 256 | Quick -> 64 in
-  let a = Tensor.uniform rng [| tsize; tsize |] ~lo:(-1.0) ~hi:1.0 in
-  let b = Tensor.uniform rng [| tsize; tsize |] ~lo:(-1.0) ~hi:1.0 in
-  let dst = Tensor.zeros [| tsize; tsize |] in
-  let reference = Tensor.zeros [| tsize; tsize |] in
+  let all_identical = ref true in
+  let json = ref [] in
   List.iter
-    (fun (label, trans_a, trans_b) ->
-      I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst:reference;
-      let reps =
-        (match !scale with Full -> 20_000_000 | Quick -> 4_000_000)
-        / (tsize * tsize * tsize)
-        |> max 1
+    (fun ((trans_a, trans_b, m, k, n), count) ->
+      let label =
+        Printf.sprintf "%s%s_%dx%dx%d"
+          (if trans_a then "t" else "n")
+          (if trans_b then "t" else "n")
+          m k n
       in
-      let naive =
-        gflops ~m:tsize ~n:tsize ~k:tsize ~reps (fun () ->
-          I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst)
+      let a = Tensor.uniform rng (if trans_a then [| k; m |] else [| m; k |])
+          ~lo:(-1.0) ~hi:1.0 in
+      let b = Tensor.uniform rng (if trans_b then [| n; k |] else [| k; n |])
+          ~lo:(-1.0) ~hi:1.0 in
+      let expect = oracle ~trans_a ~trans_b ~m ~n ~k a b in
+      let dst = Tensor.full [| m; n |] Float.nan in
+      I.matmul ~trans_a ~trans_b a b ~dst;
+      let ok_seq = bits_equal expect dst in
+      let dst = Tensor.full [| m; n |] Float.nan in
+      I.matmul ~runtime:pool2 ~trans_a ~trans_b a b ~dst;
+      let ok = ok_seq && bits_equal expect dst in
+      if not ok then all_identical := false;
+      let seq = gflops ~m ~n ~k (fun () -> I.matmul ~trans_a ~trans_b a b ~dst) in
+      let par =
+        gflops ~m ~n ~k (fun () ->
+            I.matmul ~runtime:pool2 ~trans_a ~trans_b a b ~dst)
       in
-      I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst;
-      let ok = Tensor.equal reference dst in
-      let blocked =
-        gflops ~m:tsize ~n:tsize ~k:tsize ~reps (fun () ->
-          I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst)
-      in
-      row "%dd %-8s naive %6.2f  blocked %6.2f GFLOP/s (%4.2fx, %s)@." tsize
-        label naive blocked (blocked /. naive)
+      row "%-18s x%-4d seq %6.2f  2-domain %6.2f GFLOP/s (%4.2fx, %s)@."
+        label count seq par (par /. seq)
         (if ok then "bit-identical" else "MISMATCH");
       json :=
-        (Printf.sprintf "%s_naive_%d" label tsize, naive)
-        :: (Printf.sprintf "%s_blocked_%d" label tsize, blocked)
-        :: !json)
-    [ ("nn", false, false); ("tn", true, false); ("nt", false, true);
-      ("tt", true, true) ];
+        (label ^ "_2d", par) :: (label ^ "_seq", seq) :: !json)
+    hot;
+  row "every shape bit-identical to the oracle: %b@." !all_identical;
   Parallel.shutdown pool2;
+  json := ("identical", if !all_identical then 1.0 else 0.0) :: !json;
   record_json "E16" (List.rev !json)
 
 (* E17: fault-tolerant training under a shrinking memory budget — a

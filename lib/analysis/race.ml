@@ -151,10 +151,12 @@ let access_of node =
         if trans_a then sa.(0) else sa.(1)
       | [] -> 1
     in
+    (* The micro-kernel partitions 4-row output tiles (the last one
+       possibly ragged), never single rows. *)
     {
-      rows = m;
-      stride = n;
-      work = 2 * k * n;
+      rows = (m + 3) / 4;
+      stride = 4 * n;
+      work = 8 * k * n;
       may_alias = [];
       no_alias = inputs;
       fans_out = true;

@@ -24,7 +24,9 @@ module Report = Echo_diag.Report
 
 type access = {
   rows : int;  (** the index range handed to [parallel_for] *)
-  stride : int;  (** dst elements owned per index *)
+  stride : int;
+      (** dst elements owned per index (a ragged last index, such as a
+          matmul's last 4-row tile, owns fewer) *)
   work : int;  (** per-index scalar work, mirroring the kernels' hints *)
   may_alias : Node.t list;
       (** inputs the kernel reads chunk-aligned (or wholly before the

@@ -35,6 +35,10 @@ let drain_lines buf =
 let is_shutdown line = String.trim line = "shutdown"
 
 let serve ~socket engine =
+  (* A client that hangs up before its reply would otherwise raise SIGPIPE
+     on the write and kill the whole process; ignored, the write fails with
+     EPIPE instead and only that connection is dropped. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if Sys.file_exists socket then Unix.unlink socket;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);

@@ -9,7 +9,11 @@
 
     [serve] blocks until a client sends [shutdown]: the pending drain is
     answered (the shutdown itself with [ok bye]), every connection is
-    closed, the socket file is removed, and [serve] returns. *)
+    closed, the socket file is removed, and [serve] returns.
+
+    A client that disconnects before its reply costs only its own
+    connection: [serve] ignores SIGPIPE for the process, so the failed
+    write surfaces as [EPIPE] and the connection is dropped. *)
 
 val serve : socket:string -> Engine.t -> unit
 (** Listen on Unix socket [socket] (an existing socket file is replaced)

@@ -10,14 +10,13 @@
    count to drain — a full barrier, so kernel calls never overlap and the
    tensor kernels need no per-call state.
 
-   A handle also carries an execution [config]: the matmul blocking
-   threshold, the fan-out work gate, the steal granularity, and whether
-   the pool may oversubscribe the hardware. The config rides on the
+   A handle also carries an execution [config]: the fan-out work gate,
+   the steal granularity, and whether the pool may oversubscribe the
+   hardware. The config rides on the
    handle (not in a global) so two executors compiled with different
    settings can run concurrently without racing on process state. *)
 
 type config = {
-  blocking_threshold : int;
   min_fanout_work : int;
   chunks_per_domain : int;
   oversubscribe : bool;
@@ -25,7 +24,6 @@ type config = {
 
 let default_config =
   {
-    blocking_threshold = 32_768;
     min_fanout_work = 1 lsl 18;
     chunks_per_domain = 4;
     oversubscribe = false;
@@ -50,7 +48,6 @@ type t = { kind : kind; config : config }
 
 let sequential = { kind = Seq; config = default_config }
 let domains t = match t.kind with Seq -> 1 | Pool p -> p.pool_domains
-let blocking_threshold t = t.config.blocking_threshold
 let min_fanout_work t = t.config.min_fanout_work
 let chunks_per_domain t = t.config.chunks_per_domain
 let oversubscribed t = t.config.oversubscribe
@@ -126,14 +123,11 @@ let env_domains () =
             domains), e.g. ECHO_DOMAINS=4"
            s))
 
-let create ?domains ?oversubscribe ?blocking_threshold ?min_fanout_work
-    ?chunks_per_domain () =
+let create ?domains ?oversubscribe ?min_fanout_work ?chunks_per_domain () =
   let d = match domains with Some d -> d | None -> env_domains () in
   if d < 1 then invalid_arg "Parallel.create: domains must be >= 1";
   let config =
     {
-      blocking_threshold =
-        Option.value blocking_threshold ~default:default_config.blocking_threshold;
       min_fanout_work =
         Option.value min_fanout_work ~default:default_config.min_fanout_work;
       chunks_per_domain =
@@ -181,16 +175,13 @@ let create ?domains ?oversubscribe ?blocking_threshold ?min_fanout_work
 (* A second handle over the same pool (or Seq) with some config fields
    replaced. The workers are shared; only the per-call execution
    parameters differ, which is what lets one process hold executors
-   compiled under different blocking thresholds. *)
-let with_config ?oversubscribe ?blocking_threshold ?min_fanout_work
-    ?chunks_per_domain t =
+   compiled under different fan-out settings. *)
+let with_config ?oversubscribe ?min_fanout_work ?chunks_per_domain t =
   let c = t.config in
   {
     t with
     config =
       {
-        blocking_threshold =
-          Option.value blocking_threshold ~default:c.blocking_threshold;
         min_fanout_work =
           Option.value min_fanout_work ~default:c.min_fanout_work;
         chunks_per_domain =

@@ -17,10 +17,17 @@
     domain count and across repeated runs — the property the compiler's
     differential suite enforces (see {!Tensor.Into}).
 
+    {b Partition unit.} The index range is whatever the kernel chooses to
+    split: flat elements for elementwise kernels, rows for row kernels,
+    and 4-row output tiles for [Tensor.Into.matmul], so a chunk boundary
+    never cuts a matmul tile. Chunk boundaries therefore decide only which
+    domain computes a tile, never how it is computed.
+
     {b Configuration.} Every handle carries its execution parameters —
-    matmul blocking threshold, fan-out work gate, steal granularity,
-    oversubscription — so two executors compiled with different settings
-    can run concurrently in one process without racing on global state. *)
+    fan-out work gate, steal granularity, oversubscription — so two
+    executors compiled with different settings can run concurrently in
+    one process without racing on global state. No kernel switches
+    algorithm on a handle setting: the matmul has one micro-kernel. *)
 
 type t
 (** A kernel runtime handle: a sequential or pooled execution engine plus
@@ -33,7 +40,6 @@ val sequential : t
 val create :
   ?domains:int ->
   ?oversubscribe:bool ->
-  ?blocking_threshold:int ->
   ?min_fanout_work:int ->
   ?chunks_per_domain:int ->
   unit ->
@@ -52,9 +58,6 @@ val create :
       across all live domains). [true] spawns the full requested pool
       regardless (used by the differential tests to force the pool path
       on small machines).
-    - [blocking_threshold] (default [32768]): minimum [m*n*k] at which
-      [Tensor.Into.matmul] switches from the naive loops to the
-      cache-blocked kernel.
     - [min_fanout_work] (default [2^18]): minimum total scalar work
       ([n * work]) below which [parallel_for] runs inline — the fan-out
       wakeup/join latency is tens of microseconds, so small kernels are
@@ -67,14 +70,13 @@ val create :
 
 val with_config :
   ?oversubscribe:bool ->
-  ?blocking_threshold:int ->
   ?min_fanout_work:int ->
   ?chunks_per_domain:int ->
   t ->
   t
 (** A new handle sharing the same workers (or sequential engine) with some
     configuration fields replaced. Cheap; this is how one process holds
-    executors compiled under different blocking thresholds over a single
+    executors compiled under different fan-out settings over a single
     pool. *)
 
 val domains : t -> int
@@ -88,9 +90,6 @@ val effective_fanout : t -> int
 val hardware_parallelism : unit -> int
 (** [Domain.recommended_domain_count] observed once at startup, clamped to
     at least 1. *)
-
-val blocking_threshold : t -> int
-(** The handle's matmul blocking threshold. *)
 
 val min_fanout_work : t -> int
 (** The handle's fan-out work gate. *)

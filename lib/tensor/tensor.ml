@@ -558,285 +558,184 @@ let conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out =
 
 (* {1 Multicore kernel runtime support}
 
-   Heavy kernels below take a [?runtime] and fan their output rows (or the
-   flat index range) out over [Parallel.parallel_for], passing a [~work]
-   hint (scalar ops per index) so the runtime's fan-out gate can weigh the
-   kernel honestly. Every output element is written by exactly one domain,
-   in the same per-element accumulation order as the sequential loop, so
-   results are bit-identical at every domain count — including under the
-   work-stealing schedule, whose chunk boundaries are a pure function of
-   the loop size and the handle's configuration. *)
-
-(* Cache-blocked, packed GEMM. Below the runtime's blocking threshold
-   ([Parallel.blocking_threshold]) multiply-adds the original unblocked
-   loops run unchanged (packing would dominate). Above it, a logically
-   transposed A operand is packed into a contiguous row-major scratch once
-   per call and the inner loops are register-blocked 8 output rows at a
-   time; the trans_b-only case instead uses dot-product tiling over
-   contiguous rows of both operands (see [dot_rows_nt]). In every path the
-   accumulation order of each output element stays ascending-[l] with the
-   a(i,l) = 0 skip, so blocked, unblocked, sequential and parallel
-   variants all produce identical bits. *)
-
-(* Pack scratch, grown monotonically and reused across calls. Packing
-   always happens on the calling domain before the parallel region, so the
-   scratch is keyed per domain ([Domain.DLS]): two executors driven from
-   different domains — e.g. concurrent compiles under different blocking
-   thresholds — each pack into their own buffer and cannot race. *)
-let pack_scratch_a : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let pack_scratch_b : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+   Heavy kernels below take a [?runtime] and fan their output rows (matmul:
+   4-row tiles; elementwise: the flat index range) out over
+   [Parallel.parallel_for], passing a [~work] hint (scalar ops per index)
+   so the runtime's fan-out gate can weigh the kernel honestly. Every
+   output element is written by exactly one domain, in the same
+   per-element accumulation order as the sequential loop, so results are
+   bit-identical at every domain count — including under the work-stealing
+   schedule, whose chunk boundaries are a pure function of the loop size
+   and the handle's configuration. *)
 
 (* Running-value scratch for the fused elementwise kernel (one chunk's
    width per domain). *)
 let fused_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let pack_scratch key numel =
-  let cell = Domain.DLS.get key in
-  if Array.length !cell < numel then cell := Array.make numel 0.0;
-  !cell
+(* {1 The GEMM micro-kernel}
 
-(* [src] is a row-major [rows x cols] matrix; writes its transpose
-   ([cols x rows], row-major) into [dst]. *)
-let pack_transpose src ~rows ~cols dst =
-  for r = 0 to rows - 1 do
-    let base = r * cols in
-    for c = 0 to cols - 1 do
-      Array.unsafe_set dst ((c * rows) + r) (Array.unsafe_get src (base + c))
-    done
-  done
+   One strided kernel serves all four transpose variants: it reads
+   a(i,l) = ad.(i*sai + l*sal) and b(l,j) = bd.(l*sbl + j*sbj) in place,
+   so a logically transposed operand is never copied. Each tile keeps its
+   accumulators in local float refs, which ocamlopt keeps unboxed (in
+   registers, or spilled to the stack) because they never escape. Every
+   output element is its own chain: it starts at 0.0 and adds
+   a(i,l) *. b(l,j) in ascending l, skipping terms whose a(i,l) = 0 —
+   exactly the sequential triple loop, so tiling changes no bits. Each
+   tile overwrites its outputs, so no zero-fill is needed. *)
 
-(* out[lo..hi) rows of the m x n product += A * B with A packed m x k and B
-   packed k x n. Output rows are register-blocked by 8 (one load of each B
-   element feeds eight accumulator rows) and the j loop is tiled so the
-   active output rows and B row segment stay L1-resident. Rows whose a(i,l)
-   is zero fall back to per-row conditional loops to preserve the
-   sequential skip exactly: every output element still accumulates in
-   ascending l, so blocking never changes bits. *)
-let gemm_jb = 256
-
-(* One row's contribution for the mixed-zero fallback and remainder rows:
-   out[r+jlo..r+jhi) += x * bd[brow+jlo..brow+jhi). *)
-let gemm_row1 bd out ~brow ~jlo ~jhi x r =
-  if x <> 0.0 then
-    for j = jlo to jhi - 1 do
-      Array.unsafe_set out (r + j)
-        (Array.unsafe_get out (r + j) +. (x *. Array.unsafe_get bd (brow + j)))
-    done
-
-let gemm_rows ad bd out ~k ~n ~lo ~hi =
-  let i = ref lo in
-  while !i + 8 <= hi do
-    let i0 = !i in
-    let a0 = i0 * k and a1 = (i0 + 1) * k and a2 = (i0 + 2) * k in
-    let a3 = (i0 + 3) * k and a4 = (i0 + 4) * k and a5 = (i0 + 5) * k in
-    let a6 = (i0 + 6) * k and a7 = (i0 + 7) * k in
-    let r0 = i0 * n and r1 = (i0 + 1) * n and r2 = (i0 + 2) * n in
-    let r3 = (i0 + 3) * n and r4 = (i0 + 4) * n and r5 = (i0 + 5) * n in
-    let r6 = (i0 + 6) * n and r7 = (i0 + 7) * n in
-    let jj = ref 0 in
-    while !jj < n do
-      let jlo = !jj in
-      let jhi = min n (jlo + gemm_jb) in
-      for l = 0 to k - 1 do
-        let x0 = Array.unsafe_get ad (a0 + l) in
-        let x1 = Array.unsafe_get ad (a1 + l) in
-        let x2 = Array.unsafe_get ad (a2 + l) in
-        let x3 = Array.unsafe_get ad (a3 + l) in
-        let x4 = Array.unsafe_get ad (a4 + l) in
-        let x5 = Array.unsafe_get ad (a5 + l) in
-        let x6 = Array.unsafe_get ad (a6 + l) in
-        let x7 = Array.unsafe_get ad (a7 + l) in
-        let brow = l * n in
-        if
-          x0 <> 0.0 && x1 <> 0.0 && x2 <> 0.0 && x3 <> 0.0 && x4 <> 0.0
-          && x5 <> 0.0 && x6 <> 0.0 && x7 <> 0.0
-        then
-          for j = jlo to jhi - 1 do
-            let bv = Array.unsafe_get bd (brow + j) in
-            Array.unsafe_set out (r0 + j)
-              (Array.unsafe_get out (r0 + j) +. (x0 *. bv));
-            Array.unsafe_set out (r1 + j)
-              (Array.unsafe_get out (r1 + j) +. (x1 *. bv));
-            Array.unsafe_set out (r2 + j)
-              (Array.unsafe_get out (r2 + j) +. (x2 *. bv));
-            Array.unsafe_set out (r3 + j)
-              (Array.unsafe_get out (r3 + j) +. (x3 *. bv));
-            Array.unsafe_set out (r4 + j)
-              (Array.unsafe_get out (r4 + j) +. (x4 *. bv));
-            Array.unsafe_set out (r5 + j)
-              (Array.unsafe_get out (r5 + j) +. (x5 *. bv));
-            Array.unsafe_set out (r6 + j)
-              (Array.unsafe_get out (r6 + j) +. (x6 *. bv));
-            Array.unsafe_set out (r7 + j)
-              (Array.unsafe_get out (r7 + j) +. (x7 *. bv))
-          done
-        else begin
-          gemm_row1 bd out ~brow ~jlo ~jhi x0 r0;
-          gemm_row1 bd out ~brow ~jlo ~jhi x1 r1;
-          gemm_row1 bd out ~brow ~jlo ~jhi x2 r2;
-          gemm_row1 bd out ~brow ~jlo ~jhi x3 r3;
-          gemm_row1 bd out ~brow ~jlo ~jhi x4 r4;
-          gemm_row1 bd out ~brow ~jlo ~jhi x5 r5;
-          gemm_row1 bd out ~brow ~jlo ~jhi x6 r6;
-          gemm_row1 bd out ~brow ~jlo ~jhi x7 r7
-        end
-      done;
-      jj := jhi
-    done;
-    i := i0 + 8
+(* The 4x4 tile at rows [i0, i0+4), columns [j0, j0+4). [pa] and [pb]
+   walk the operands along l by increments rather than multiplies, and the
+   other rows and columns are addressed [sai] / [sbj] apart, so few
+   integer values stay live beside the 16 accumulators. *)
+let tile_4x4 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i0 j0 =
+  let c00 = ref 0.0 and c01 = ref 0.0 and c02 = ref 0.0 and c03 = ref 0.0 in
+  let c10 = ref 0.0 and c11 = ref 0.0 and c12 = ref 0.0 and c13 = ref 0.0 in
+  let c20 = ref 0.0 and c21 = ref 0.0 and c22 = ref 0.0 and c23 = ref 0.0 in
+  let c30 = ref 0.0 and c31 = ref 0.0 and c32 = ref 0.0 and c33 = ref 0.0 in
+  let pa = ref (i0 * sai) and pb = ref (j0 * sbj) in
+  for _ = 1 to k do
+    let p = !pa and q = !pb in
+    let v0 = Array.unsafe_get bd q in
+    let v1 = Array.unsafe_get bd (q + sbj) in
+    let v2 = Array.unsafe_get bd (q + sbj + sbj) in
+    let v3 = Array.unsafe_get bd (q + sbj + sbj + sbj) in
+    let x = Array.unsafe_get ad p in
+    if x <> 0.0 then begin
+      c00 := !c00 +. (x *. v0);
+      c01 := !c01 +. (x *. v1);
+      c02 := !c02 +. (x *. v2);
+      c03 := !c03 +. (x *. v3)
+    end;
+    let x = Array.unsafe_get ad (p + sai) in
+    if x <> 0.0 then begin
+      c10 := !c10 +. (x *. v0);
+      c11 := !c11 +. (x *. v1);
+      c12 := !c12 +. (x *. v2);
+      c13 := !c13 +. (x *. v3)
+    end;
+    let x = Array.unsafe_get ad (p + sai + sai) in
+    if x <> 0.0 then begin
+      c20 := !c20 +. (x *. v0);
+      c21 := !c21 +. (x *. v1);
+      c22 := !c22 +. (x *. v2);
+      c23 := !c23 +. (x *. v3)
+    end;
+    let x = Array.unsafe_get ad (p + sai + sai + sai) in
+    if x <> 0.0 then begin
+      c30 := !c30 +. (x *. v0);
+      c31 := !c31 +. (x *. v1);
+      c32 := !c32 +. (x *. v2);
+      c33 := !c33 +. (x *. v3)
+    end;
+    pa := p + sal;
+    pb := q + sbl
   done;
-  while !i < hi do
-    let i0 = !i in
-    let arow = i0 * k and r = i0 * n in
-    for l = 0 to k - 1 do
-      let x = Array.unsafe_get ad (arow + l) in
-      if x <> 0.0 then begin
-        let brow = l * n in
-        for j = 0 to n - 1 do
-          Array.unsafe_set out (r + j)
-            (Array.unsafe_get out (r + j)
-            +. (x *. Array.unsafe_get bd (brow + j)))
+  let r = (i0 * n) + j0 in
+  Array.unsafe_set out r !c00;
+  Array.unsafe_set out (r + 1) !c01;
+  Array.unsafe_set out (r + 2) !c02;
+  Array.unsafe_set out (r + 3) !c03;
+  let r = r + n in
+  Array.unsafe_set out r !c10;
+  Array.unsafe_set out (r + 1) !c11;
+  Array.unsafe_set out (r + 2) !c12;
+  Array.unsafe_set out (r + 3) !c13;
+  let r = r + n in
+  Array.unsafe_set out r !c20;
+  Array.unsafe_set out (r + 1) !c21;
+  Array.unsafe_set out (r + 2) !c22;
+  Array.unsafe_set out (r + 3) !c23;
+  let r = r + n in
+  Array.unsafe_set out r !c30;
+  Array.unsafe_set out (r + 1) !c31;
+  Array.unsafe_set out (r + 2) !c32;
+  Array.unsafe_set out (r + 3) !c33
+
+(* The 4x1 column edge: rows [i0, i0+4) of column [j]. *)
+let tile_4x1 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i0 j =
+  let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
+  let pa = ref (i0 * sai) and pb = ref (j * sbj) in
+  for _ = 1 to k do
+    let p = !pa and q = !pb in
+    let v = Array.unsafe_get bd q in
+    let x = Array.unsafe_get ad p in
+    if x <> 0.0 then c0 := !c0 +. (x *. v);
+    let x = Array.unsafe_get ad (p + sai) in
+    if x <> 0.0 then c1 := !c1 +. (x *. v);
+    let x = Array.unsafe_get ad (p + sai + sai) in
+    if x <> 0.0 then c2 := !c2 +. (x *. v);
+    let x = Array.unsafe_get ad (p + sai + sai + sai) in
+    if x <> 0.0 then c3 := !c3 +. (x *. v);
+    pa := p + sal;
+    pb := q + sbl
+  done;
+  let r = (i0 * n) + j in
+  Array.unsafe_set out r !c0;
+  Array.unsafe_set out (r + n) !c1;
+  Array.unsafe_set out (r + n + n) !c2;
+  Array.unsafe_set out (r + n + n + n) !c3
+
+(* The 1x4 row edge: columns [j0, j0+4) of row [i]. *)
+let tile_1x4 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i j0 =
+  let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
+  let pa = ref (i * sai) and pb = ref (j0 * sbj) in
+  for _ = 1 to k do
+    let p = !pa and q = !pb in
+    let x = Array.unsafe_get ad p in
+    if x <> 0.0 then begin
+      c0 := !c0 +. (x *. Array.unsafe_get bd q);
+      c1 := !c1 +. (x *. Array.unsafe_get bd (q + sbj));
+      c2 := !c2 +. (x *. Array.unsafe_get bd (q + sbj + sbj));
+      c3 := !c3 +. (x *. Array.unsafe_get bd (q + sbj + sbj + sbj))
+    end;
+    pa := p + sal;
+    pb := q + sbl
+  done;
+  let r = (i * n) + j0 in
+  Array.unsafe_set out r !c0;
+  Array.unsafe_set out (r + 1) !c1;
+  Array.unsafe_set out (r + 2) !c2;
+  Array.unsafe_set out (r + 3) !c3
+
+(* The 1x1 corner: element (i, j). *)
+let tile_1x1 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i j =
+  let c = ref 0.0 in
+  let pa = ref (i * sai) and pb = ref (j * sbj) in
+  for _ = 1 to k do
+    let x = Array.unsafe_get ad !pa in
+    if x <> 0.0 then c := !c +. (x *. Array.unsafe_get bd !pb);
+    pa := !pa + sal;
+    pb := !pb + sbl
+  done;
+  Array.unsafe_set out ((i * n) + j) !c
+
+(* Output rows [4*tlo, min m (4*thi)): the row tiles a [parallel_for]
+   chunk owns. Full 4-row tiles sweep 4x4 tiles then 4x1 column edges; the
+   ragged last rows (when 4 does not divide [m]) sweep 1x4 tiles then 1x1
+   corners. *)
+let gemm_tiles ad bd out ~sai ~sal ~sbl ~sbj ~m ~k ~n tlo thi =
+  let n4 = n - (n mod 4) in
+  for t = tlo to thi - 1 do
+    let i0 = 4 * t in
+    if i0 + 4 <= m then begin
+      for jt = 0 to (n4 / 4) - 1 do
+        tile_4x4 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i0 (4 * jt)
+      done;
+      for j = n4 to n - 1 do
+        tile_4x1 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i0 j
+      done
+    end
+    else
+      for i = i0 to m - 1 do
+        for jt = 0 to (n4 / 4) - 1 do
+          tile_1x4 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i (4 * jt)
+        done;
+        for j = n4 to n - 1 do
+          tile_1x1 ad bd out ~sai ~sal ~sbl ~sbj ~k ~n i j
         done
-      end
-    done;
-    i := i0 + 1
-  done
-
-(* trans_b (and not trans_a): out[i,j] is the dot product of contiguous A
-   row i and contiguous B row j, so no packing is needed — B^T is never
-   materialised. 4x4 output tiles accumulate in an unboxed float scratch;
-   each element is still its own ascending-l chain with the a(i,l) = 0
-   skip, so bits match the unblocked loops exactly. Every covered output
-   element is overwritten, so callers skip the zero-fill. *)
-let dot_rows_nt ad bd out ~k ~n ~lo ~hi =
-  let acc = Array.make 16 0.0 in
-  let i = ref lo in
-  while !i + 4 <= hi do
-    let i0 = !i in
-    let a0 = i0 * k and a1 = (i0 + 1) * k in
-    let a2 = (i0 + 2) * k and a3 = (i0 + 3) * k in
-    let j = ref 0 in
-    while !j + 4 <= n do
-      let j0 = !j in
-      let b0 = j0 * k and b1 = (j0 + 1) * k in
-      let b2 = (j0 + 2) * k and b3 = (j0 + 3) * k in
-      Array.fill acc 0 16 0.0;
-      for l = 0 to k - 1 do
-        let bv0 = Array.unsafe_get bd (b0 + l) in
-        let bv1 = Array.unsafe_get bd (b1 + l) in
-        let bv2 = Array.unsafe_get bd (b2 + l) in
-        let bv3 = Array.unsafe_get bd (b3 + l) in
-        let x0 = Array.unsafe_get ad (a0 + l) in
-        if x0 <> 0.0 then begin
-          Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. (x0 *. bv0));
-          Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. (x0 *. bv1));
-          Array.unsafe_set acc 2 (Array.unsafe_get acc 2 +. (x0 *. bv2));
-          Array.unsafe_set acc 3 (Array.unsafe_get acc 3 +. (x0 *. bv3))
-        end;
-        let x1 = Array.unsafe_get ad (a1 + l) in
-        if x1 <> 0.0 then begin
-          Array.unsafe_set acc 4 (Array.unsafe_get acc 4 +. (x1 *. bv0));
-          Array.unsafe_set acc 5 (Array.unsafe_get acc 5 +. (x1 *. bv1));
-          Array.unsafe_set acc 6 (Array.unsafe_get acc 6 +. (x1 *. bv2));
-          Array.unsafe_set acc 7 (Array.unsafe_get acc 7 +. (x1 *. bv3))
-        end;
-        let x2 = Array.unsafe_get ad (a2 + l) in
-        if x2 <> 0.0 then begin
-          Array.unsafe_set acc 8 (Array.unsafe_get acc 8 +. (x2 *. bv0));
-          Array.unsafe_set acc 9 (Array.unsafe_get acc 9 +. (x2 *. bv1));
-          Array.unsafe_set acc 10 (Array.unsafe_get acc 10 +. (x2 *. bv2));
-          Array.unsafe_set acc 11 (Array.unsafe_get acc 11 +. (x2 *. bv3))
-        end;
-        let x3 = Array.unsafe_get ad (a3 + l) in
-        if x3 <> 0.0 then begin
-          Array.unsafe_set acc 12 (Array.unsafe_get acc 12 +. (x3 *. bv0));
-          Array.unsafe_set acc 13 (Array.unsafe_get acc 13 +. (x3 *. bv1));
-          Array.unsafe_set acc 14 (Array.unsafe_get acc 14 +. (x3 *. bv2));
-          Array.unsafe_set acc 15 (Array.unsafe_get acc 15 +. (x3 *. bv3))
-        end
-      done;
-      for di = 0 to 3 do
-        let r = ((i0 + di) * n) + j0 and s = 4 * di in
-        Array.unsafe_set out r (Array.unsafe_get acc s);
-        Array.unsafe_set out (r + 1) (Array.unsafe_get acc (s + 1));
-        Array.unsafe_set out (r + 2) (Array.unsafe_get acc (s + 2));
-        Array.unsafe_set out (r + 3) (Array.unsafe_get acc (s + 3))
-      done;
-      j := j0 + 4
-    done;
-    while !j < n do
-      let j0 = !j in
-      let bb = j0 * k in
-      Array.fill acc 0 4 0.0;
-      for l = 0 to k - 1 do
-        let bv = Array.unsafe_get bd (bb + l) in
-        let x0 = Array.unsafe_get ad (a0 + l) in
-        if x0 <> 0.0 then
-          Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. (x0 *. bv));
-        let x1 = Array.unsafe_get ad (a1 + l) in
-        if x1 <> 0.0 then
-          Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. (x1 *. bv));
-        let x2 = Array.unsafe_get ad (a2 + l) in
-        if x2 <> 0.0 then
-          Array.unsafe_set acc 2 (Array.unsafe_get acc 2 +. (x2 *. bv));
-        let x3 = Array.unsafe_get ad (a3 + l) in
-        if x3 <> 0.0 then
-          Array.unsafe_set acc 3 (Array.unsafe_get acc 3 +. (x3 *. bv))
-      done;
-      Array.unsafe_set out ((i0 * n) + j0) (Array.unsafe_get acc 0);
-      Array.unsafe_set out (((i0 + 1) * n) + j0) (Array.unsafe_get acc 1);
-      Array.unsafe_set out (((i0 + 2) * n) + j0) (Array.unsafe_get acc 2);
-      Array.unsafe_set out (((i0 + 3) * n) + j0) (Array.unsafe_get acc 3);
-      j := j0 + 1
-    done;
-    i := i0 + 4
-  done;
-  while !i < hi do
-    let i0 = !i in
-    let arow = i0 * k and row = i0 * n in
-    let j = ref 0 in
-    while !j + 4 <= n do
-      let j0 = !j in
-      let b0 = j0 * k and b1 = (j0 + 1) * k in
-      let b2 = (j0 + 2) * k and b3 = (j0 + 3) * k in
-      Array.fill acc 0 4 0.0;
-      for l = 0 to k - 1 do
-        let x = Array.unsafe_get ad (arow + l) in
-        if x <> 0.0 then begin
-          Array.unsafe_set acc 0
-            (Array.unsafe_get acc 0 +. (x *. Array.unsafe_get bd (b0 + l)));
-          Array.unsafe_set acc 1
-            (Array.unsafe_get acc 1 +. (x *. Array.unsafe_get bd (b1 + l)));
-          Array.unsafe_set acc 2
-            (Array.unsafe_get acc 2 +. (x *. Array.unsafe_get bd (b2 + l)));
-          Array.unsafe_set acc 3
-            (Array.unsafe_get acc 3 +. (x *. Array.unsafe_get bd (b3 + l)))
-        end
-      done;
-      Array.unsafe_set out (row + j0) (Array.unsafe_get acc 0);
-      Array.unsafe_set out (row + j0 + 1) (Array.unsafe_get acc 1);
-      Array.unsafe_set out (row + j0 + 2) (Array.unsafe_get acc 2);
-      Array.unsafe_set out (row + j0 + 3) (Array.unsafe_get acc 3);
-      j := j0 + 4
-    done;
-    while !j < n do
-      let j0 = !j in
-      let bb = j0 * k in
-      Array.unsafe_set acc 0 0.0;
-      for l = 0 to k - 1 do
-        let x = Array.unsafe_get ad (arow + l) in
-        if x <> 0.0 then
-          Array.unsafe_set acc 0
-            (Array.unsafe_get acc 0 +. (x *. Array.unsafe_get bd (bb + l)))
-      done;
-      Array.unsafe_set out (row + j0) (Array.unsafe_get acc 0);
-      j := j0 + 1
-    done;
-    i := i0 + 1
+      done
   done
 
 (* {1 Dispatch-once elementwise loops}
@@ -998,12 +897,11 @@ module Into = struct
   let scale_by ?runtime x s ~dst =
     unary ?runtime "scale_by" (F_scale s.data.(0)) x ~dst
 
-  (* Same i -> l (skip a_il = 0) -> j accumulation order as the sequential
-     triple loop in every variant, so results are bit-identical across the
-     unblocked path, the packed/blocked path, and every domain count. [dst]
-     must not alias an operand. Output rows are partitioned across the
-     runtime's domains; each chunk zero-fills and accumulates only its own
-     rows. *)
+  (* One micro-kernel for every transpose variant (see [gemm_tiles]): the
+     transposes only change the strides it reads the operands with. The
+     runtime partitions 4-row tiles, never rows, so a chunk boundary never
+     cuts a tile and each chunk overwrites exactly its own rows. [dst] must
+     not alias an operand. *)
   let matmul ?(runtime = Parallel.sequential) ?(trans_a = false)
       ?(trans_b = false) a b ~dst =
     if Shape.rank a.shape <> 2 || Shape.rank b.shape <> 2 then
@@ -1016,104 +914,11 @@ module Into = struct
       invalid_arg
         (Printf.sprintf "Tensor.Into.matmul: inner dims %d vs %d" k k');
     check "matmul" dst [| m; n |];
-    let out = dst.data in
-    let ad = a.data and bd = b.data in
-    let work = 2 * k * n in
-    if m * n * k >= Parallel.blocking_threshold runtime then begin
-      if trans_b && not trans_a then
-        (* Both operand rows are contiguous along l, so dot-product tiling
-           beats packing: no O(k*n) transpose per call, and the 4x4 output
-           tile lives in an unboxed scratch. The kernel overwrites every
-           element of its rows, so no zero-fill. *)
-        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            dot_rows_nt ad bd out ~k ~n ~lo ~hi)
-      else begin
-        (* Packed/blocked path: normalise both operands to row-major
-           notrans layout (packing is a pure copy, so operand bits are
-           unchanged), then run the register-blocked kernel on each row
-           chunk. Packing happens on the calling domain before the
-           fan-out. *)
-        let pa =
-          if trans_a then begin
-            let s = pack_scratch pack_scratch_a (m * k) in
-            pack_transpose ad ~rows:am ~cols:an s;
-            s
-          end
-          else ad
-        in
-        let pb =
-          if trans_b then begin
-            let s = pack_scratch pack_scratch_b (k * n) in
-            pack_transpose bd ~rows:bm ~cols:bn s;
-            s
-          end
-          else bd
-        in
-        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            Array.fill out (lo * n) ((hi - lo) * n) 0.0;
-            gemm_rows pa pb out ~k ~n ~lo ~hi)
-      end
-    end
-    else
-      Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-          Array.fill out (lo * n) ((hi - lo) * n) 0.0;
-          match (trans_a, trans_b) with
-          | false, false ->
-            for i = lo to hi - 1 do
-              let arow = i * an and row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad (arow + l) in
-                if ail <> 0.0 then begin
-                  let brow = l * bn in
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd (brow + j)))
-                  done
-                end
-              done
-            done
-          | true, false ->
-            for i = lo to hi - 1 do
-              let row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad ((l * an) + i) in
-                if ail <> 0.0 then begin
-                  let brow = l * bn in
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd (brow + j)))
-                  done
-                end
-              done
-            done
-          | false, true ->
-            for i = lo to hi - 1 do
-              let arow = i * an and row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad (arow + l) in
-                if ail <> 0.0 then
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd ((j * bn) + l)))
-                  done
-              done
-            done
-          | true, true ->
-            for i = lo to hi - 1 do
-              let row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad ((l * an) + i) in
-                if ail <> 0.0 then
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd ((j * bn) + l)))
-                  done
-              done
-            done)
+    let sai, sal = if trans_a then (1, an) else (an, 1) in
+    let sbl, sbj = if trans_b then (1, bn) else (bn, 1) in
+    let ad = a.data and bd = b.data and out = dst.data in
+    Parallel.parallel_for runtime ~work:(8 * k * n) ~n:((m + 3) / 4)
+      (fun lo hi -> gemm_tiles ad bd out ~sai ~sal ~sbl ~sbj ~m ~k ~n lo hi)
 
   (* [dst] may alias [m] (cell read before write); aliasing [b] only arises
      when rows = 1, where b.(j) is read before dst.(j) is written. *)

@@ -210,9 +210,9 @@ val conv2d_grad_kernel : stride:int -> pad:int -> input:t -> kernel_shape:Shape.
     Each output element is computed by exactly one domain in the
     sequential per-element accumulation order, so results stay
     bit-identical at every domain count and under the runtime's
-    deterministic work-stealing schedule. The runtime handle also carries
-    the matmul blocking threshold ({!Parallel.blocking_threshold}) — there
-    is no process-global kernel configuration. *)
+    deterministic work-stealing schedule. The runtime handle carries only
+    partitioning parameters — no kernel switches algorithm on it, and
+    there is no process-global kernel configuration. *)
 module Into : sig
   val fill : dst:t -> float -> unit
 
@@ -256,16 +256,20 @@ module Into : sig
     ?runtime:Parallel.t -> ?trans_a:bool -> ?trans_b:bool -> t -> t -> dst:t -> unit
   (** [dst] must not alias an operand (a GEMM cannot run in place).
 
-      Products of at least [Parallel.blocking_threshold runtime]
-      multiply-adds take a cache-blocked path: a logically transposed
-      operand is packed into a contiguous scratch once per call and the
-      inner loops are register-blocked over the output rows. The
-      accumulation order per output element (ascending inner index,
-      skipping zero [a] elements) is the same on both paths, so the switch
-      never changes results. The threshold rides on the runtime handle
-      ([Parallel.create ~blocking_threshold] /
-      [Parallel.with_config]), so concurrent executors with different
-      settings cannot race. *)
+      One register-tiled micro-kernel serves all four transpose variants
+      at every size. It reads both operands in place through strides
+      ([a(i,l)] at [i*sai + l*sal], [b(l,j)] at [l*sbl + j*sbj]), so a
+      logically transposed operand is never copied, and computes 4x4
+      output tiles in registers, with 4x1 and 1x4 tiles on the column and
+      row edges. The runtime partitions 4-row tiles, so a chunk boundary
+      never cuts a tile.
+
+      {b Bit identity.} Every output element is computed by exactly one
+      tile as its own chain: it starts at [0.0] and adds [a(i,l) *. b(l,j)]
+      in ascending [l], skipping terms whose [a(i,l)] is exactly zero
+      (either sign) — the sequential triple loop's order. Tiling, edge
+      tiles and the domain count therefore never change a bit; NaN and
+      infinite operands propagate exactly as in that loop. *)
 
   val add_bias : ?runtime:Parallel.t -> t -> t -> dst:t -> unit
   val slice : axis:int -> lo:int -> hi:int -> t -> dst:t -> unit

@@ -227,11 +227,10 @@ let test_pipeline_stages_compose () =
 
 (* Kernel runtime differential: the same LM training graph — loss and all
    gradients — must come out bitwise identical from the interpreter, the
-   sequential executor, and pools of 1/2/4 domains, under both the naive
-   (threshold = max_int) and blocked (threshold = 0) matmul paths. The
-   comparison is on raw bits (not [Tensor.equal], whose structural compare
-   conflates 0.0 with -0.0), and dropout puts real zeros in the
-   activations so the a(i,l) = 0 skip is exercised. *)
+   sequential executor, and pools of 1/2/4 domains. The comparison is on
+   raw bits (not [Tensor.equal], whose structural compare conflates 0.0
+   with -0.0), and dropout puts real zeros in the activations so the
+   a(i,l) = 0 skip is exercised. *)
 let bits_equal a b =
   Shape.equal (Tensor.shape a) (Tensor.shape b)
   &&
@@ -270,43 +269,27 @@ let test_runtime_differential () =
       model.Model.placeholders
     @ Params.bindings model.Model.params
   in
-  (* Reference: the interpreter on its default runtime — blocked and naive
-     matmuls are bitwise identical by construction, so any threshold gives
-     the same reference bits. *)
+  (* Reference: the interpreter on its default runtime. *)
   let reference = Echo_exec.Interp.eval g ~feeds in
   let check_engine label outputs =
     check_bool label true (List.for_all2 bits_equal reference outputs)
   in
-  (* The threshold is per-runtime configuration: compile one executor per
-     (threshold, runtime) point. Pools are oversubscribed past the
-     hardware cap with the work gate open, so the fan-out path really
-     executes even on one core. *)
+  (* Pools are oversubscribed past the hardware cap with the work gate
+     open, so the fan-out path really executes even on one core. *)
+  check_engine "seq executor"
+    (Executor.eval
+       (Executor.compile ~runtime:Parallel.sequential (Memplan.plan g))
+       ~feeds);
   List.iter
-    (fun threshold ->
-      let path = if threshold = 0 then "blocked" else "naive" in
+    (fun d ->
+      let pool =
+        Parallel.create ~domains:d ~oversubscribe:true ~min_fanout_work:0 ()
+      in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
       check_engine
-        (Printf.sprintf "%s seq executor" path)
-        (Executor.eval
-           (Executor.compile
-              ~runtime:
-                (Parallel.with_config ~blocking_threshold:threshold
-                   Parallel.sequential)
-              (Memplan.plan g))
-           ~feeds);
-      List.iter
-        (fun d ->
-          let pool =
-            Parallel.create ~domains:d ~oversubscribe:true ~min_fanout_work:0
-              ~blocking_threshold:threshold ()
-          in
-          Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
-          check_engine
-            (Printf.sprintf "%s %d-domain executor" path d)
-            (Executor.eval
-               (Executor.compile ~runtime:pool (Memplan.plan g))
-               ~feeds))
-        [ 1; 2; 4 ])
-    [ max_int; 0 ]
+        (Printf.sprintf "%d-domain executor" d)
+        (Executor.eval (Executor.compile ~runtime:pool (Memplan.plan g)) ~feeds))
+    [ 1; 2; 4 ]
 
 (* Fused elementwise codegen: the fusion stage must be invisible in the
    results — bit-identical to the unfused executor at every domain count —

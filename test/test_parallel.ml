@@ -101,14 +101,15 @@ let test_create_validation () =
 
 let test_with_config_views () =
   let rt =
-    Parallel.with_config ~blocking_threshold:7 ~min_fanout_work:9
+    Parallel.with_config ~min_fanout_work:9 ~chunks_per_domain:3
       Parallel.sequential
   in
-  check_int "view threshold" 7 (Parallel.blocking_threshold rt);
   check_int "view gate" 9 (Parallel.min_fanout_work rt);
+  check_int "view steal granularity" 3 (Parallel.chunks_per_domain rt);
   check_int "view still sequential" 1 (Parallel.domains rt);
   check_bool "base handle untouched" true
-    (Parallel.blocking_threshold Parallel.sequential <> 7)
+    (Parallel.min_fanout_work Parallel.sequential <> 9
+    && Parallel.chunks_per_domain Parallel.sequential <> 3)
 
 (* --- the work-stealing loop: coverage and bitwise determinism --- *)
 
@@ -252,7 +253,7 @@ let test_profitable_valve () =
     (Fusion.host_graph_time cfg ~fuse:false g)
     (Fusion.host_graph_time cfg ~fuse:true g)
 
-(* --- the joint (planner, fuse, domains, threshold) search --- *)
+(* --- the joint (planner, fuse, domains) search --- *)
 
 let test_fit_exec_search () =
   let lm =
@@ -277,9 +278,6 @@ let test_fit_exec_search () =
     check_bool "prediction positive" true (choice.A.predicted_s > 0.0);
     check_bool "domains candidate" true
       (List.mem choice.A.combo.A.domains A.default_domain_candidates);
-    check_bool "threshold candidate" true
-      (List.mem choice.A.combo.A.blocking_threshold
-         A.default_threshold_candidates);
     (* The budget is honoured: ask for one byte and the search must fail
        (every plan's arena is positive). *)
     check_bool "impossible budget refused" true

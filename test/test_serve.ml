@@ -84,12 +84,6 @@ let test_cache_key_separates_knobs () =
     <> Pipeline.cache_key
          ~runtime:(Parallel.create ~domains:2 ~oversubscribe:true ())
          graph);
-  check_bool "blocking threshold changes the key" true
-    (Pipeline.cache_key ~runtime:(Parallel.create ~blocking_threshold:64 ())
-       graph
-    <> Pipeline.cache_key
-         ~runtime:(Parallel.create ~blocking_threshold:4096 ())
-         graph);
   let other = Echo_core.Planner.instantiate "recompute-all" in
   check_bool "planner changes the key" true
     (base <> Pipeline.cache_key ~planner:other graph)
@@ -425,6 +419,62 @@ let read_lines fd n =
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter (fun l -> l <> "")
 
+(* Connect to the server's socket, polling while it binds (the server
+   binds asynchronously). *)
+let connect_when_bound socket =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    match
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      fd
+    with
+    | fd -> fd
+    | exception Unix.Unix_error _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      go ()
+  in
+  go ()
+
+let send fd line =
+  let line = line ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A client that hangs up before its reply must cost the server nothing:
+   the reply's write fails with EPIPE (not a process-killing SIGPIPE), the
+   connection is dropped, and the next client is answered — from the cache
+   entry the abandoned compile left behind. *)
+let test_socket_client_hangup () =
+  let socket = Filename.temp_file "echo_serve" ".sock" in
+  Sys.remove socket;
+  let engine =
+    Engine.create ~runtime:(Parallel.create ~domains:1 ()) ()
+  in
+  let server = Domain.spawn (fun () -> Echo_serve.Server.serve ~socket engine) in
+  let request = "compile hidden=8 seq_len=4 batch=2 vocab=20" in
+  let quitter = connect_when_bound socket in
+  send quitter request;
+  Unix.close quitter;
+  let fd = connect_when_bound socket in
+  send fd request;
+  send fd "shutdown";
+  let responses = read_lines fd 2 in
+  Domain.join server;
+  Unix.close fd;
+  match responses with
+  | [ compiled; bye ] ->
+    check_bool "second client answered from the cache" true
+      (contains compiled "cached=true");
+    check_string "shutdown" "ok bye" bye
+  | _ -> Alcotest.failf "expected 2 responses, got %d" (List.length responses)
+
 let test_socket_end_to_end () =
   let socket = Filename.temp_file "echo_serve" ".sock" in
   Sys.remove socket;
@@ -434,20 +484,7 @@ let test_socket_end_to_end () =
       ()
   in
   let server = Domain.spawn (fun () -> Echo_serve.Server.serve ~socket engine) in
-  (* The server binds asynchronously; poll for the socket file. *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec connect () =
-    match
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      fd
-    with
-    | fd -> fd
-    | exception Unix.Unix_error _ when Unix.gettimeofday () < deadline ->
-      Unix.sleepf 0.02;
-      connect ()
-  in
-  let fd = connect () in
+  let fd = connect_when_bound socket in
   let requests =
     [
       "ping";
@@ -474,25 +511,8 @@ let test_socket_end_to_end () =
     String.length s >= String.length p && String.sub s 0 (String.length p) = p
   in
   check_bool "first compile is a miss" true
-    (starts_with "ok key=" (nth 1)
-    &&
-    let contains s sub =
-      let n = String.length sub in
-      let rec go i =
-        i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-      in
-      go 0
-    in
-    contains (nth 1) "cached=false");
-  check_bool "second compile is a hit" true
-    (let contains s sub =
-       let n = String.length sub in
-       let rec go i =
-         i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-       in
-       go 0
-     in
-     contains (nth 2) "cached=true");
+    (starts_with "ok key=" (nth 1) && contains (nth 1) "cached=false");
+  check_bool "second compile is a hit" true (contains (nth 2) "cached=true");
   (* The train response must be byte-identical to a direct Loop.train of
      the same request: same model, same synthetic corpus, sequential
      runtime — served through the cache entry the compile request created. *)
@@ -544,5 +564,6 @@ let suite =
         t "protocol errors" test_protocol_errors;
         t "corpus load_text" test_corpus_load_text;
         t "socket end to end" test_socket_end_to_end;
+        t "socket client hangup" test_socket_client_hangup;
       ] );
   ]

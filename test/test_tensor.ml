@@ -152,52 +152,71 @@ let sparse_uniform rng shape =
   done;
   t
 
-(* Sweep sizes across the blocking threshold, all four transpose variants,
-   forced-naive / default / forced-blocked thresholds, and sequential vs a
-   2-domain pool. The threshold is per-runtime configuration now, so every
-   point is a fresh [with_config] view; the pool is oversubscribed past the
-   hardware cap with the work gate open, so the fan-out + work-stealing
-   path genuinely runs even on one core. Every combination must be bitwise
+(* Operands laced with the IEEE special values: -0.0 (skipped like 0.0),
+   NaN and +/-inf (never skipped, so they reach the sum), on top of
+   [sparse_uniform]'s exact zeros. Two NaN payloads make a swapped
+   multiply or add operand order visible in the result's bits. *)
+let special_uniform rng shape =
+  let t = sparse_uniform rng shape in
+  let other_nan = Int64.float_of_bits 0x7FF8_0000_0000_BEEFL in
+  for i = 0 to Tensor.numel t - 1 do
+    let u = Rng.float rng in
+    if u < 0.06 then Tensor.set1 t i (-0.0)
+    else if u < 0.07 then Tensor.set1 t i Float.nan
+    else if u < 0.08 then Tensor.set1 t i other_nan
+    else if u < 0.10 then Tensor.set1 t i Float.infinity
+    else if u < 0.12 then Tensor.set1 t i Float.neg_infinity
+  done;
+  t
+
+(* Sweep m and n across the micro-kernel's tile edges (4x4 tiles, 4x1 and
+   1x4 edges, 1x1 corners), all four transpose variants, plain and
+   special-valued operands, sequential vs a 2-domain pool. The pool is
+   oversubscribed past the hardware cap with the work gate open, so every
+   4-row tile is its own chunk and the fan-out + work-stealing path
+   genuinely runs even on one core. Every combination must be bitwise
    equal to the oracle. [dst] starts as NaN so an unwritten element can
    never pass. *)
 let test_matmul_blocked_sweep () =
-  let sizes = [ (1, 1, 1); (3, 5, 2); (8, 8, 8); (17, 33, 9); (40, 40, 40); (64, 32, 48) ] in
+  let edges = [ 1; 3; 4; 5; 8; 9; 17 ] in
   let pool =
     Parallel.create ~domains:2 ~oversubscribe:true ~min_fanout_work:0 ()
   in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   let rng = Rng.create 11 in
-  let default_threshold = Parallel.blocking_threshold Parallel.sequential in
   List.iter
     (fun (m, n, k) ->
       List.iter
         (fun (trans_a, trans_b) ->
-          let a = sparse_uniform rng (if trans_a then [| k; m |] else [| m; k |]) in
-          let b = sparse_uniform rng (if trans_b then [| n; k |] else [| k; n |]) in
-          let expect = matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b in
           List.iter
-            (fun threshold ->
+            (fun (operands, gen) ->
+              let a = gen rng (if trans_a then [| k; m |] else [| m; k |]) in
+              let b = gen rng (if trans_b then [| n; k |] else [| k; n |]) in
+              let expect = matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b in
               List.iter
-                (fun (rt_name, base) ->
-                  let runtime =
-                    Parallel.with_config ~blocking_threshold:threshold base
-                  in
+                (fun (rt_name, runtime) ->
                   let dst = Tensor.full [| m; n |] Float.nan in
                   Tensor.Into.matmul ~runtime ~trans_a ~trans_b a b ~dst;
                   if not (bits_equal expect dst) then
                     Alcotest.failf
-                      "matmul %dx%dx%d ta=%b tb=%b threshold=%d runtime=%s \
+                      "matmul %dx%dx%d ta=%b tb=%b operands=%s runtime=%s \
                        differs from oracle"
-                      m n k trans_a trans_b threshold rt_name)
-                [ ("seq", Parallel.sequential); ("pool2", pool) ])
-            [ 0; default_threshold; max_int ];
-          if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b))
-          then
-            Alcotest.failf
-              "allocating matmul %dx%dx%d ta=%b tb=%b differs from oracle"
-              m n k trans_a trans_b)
+                      m n k trans_a trans_b operands rt_name)
+                [ ("seq", Parallel.sequential); ("pool2", pool) ];
+              if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b))
+              then
+                Alcotest.failf
+                  "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s differs \
+                   from oracle"
+                  m n k trans_a trans_b operands)
+            [ ("sparse", sparse_uniform); ("special", special_uniform) ])
         [ (false, false); (true, false); (false, true); (true, true) ])
-    sizes
+    (List.concat_map
+       (fun m ->
+         List.concat_map
+           (fun n -> List.map (fun k -> (m, n, k)) [ 1; 6; 13 ])
+           edges)
+       edges)
 
 let test_add_bias () =
   let m = t2 [ [ 1.; 2. ]; [ 3.; 4. ] ] in
