@@ -66,6 +66,9 @@ let training_graph model =
   (Pipeline.differentiate (Pipeline.of_model model))
     .Pipeline.autodiff.Echo_autodiff.Grad.graph
 
+(* An Echo-family planner at an overhead budget. *)
+let budgeted name budget = Planner.instantiate ~knobs:[ ("budget", budget) ] name
+
 (* Policy comparison set used by the headline experiments — resolved
    through the planner registry, like every other consumer. *)
 let policies =
@@ -73,9 +76,9 @@ let policies =
     Planner.instantiate "stash-all";
     Planner.instantiate "mirror-all-cheap";
     Planner.instantiate "checkpoint-sqrt";
-    Planner.instantiate ~knobs:[ ("budget", 0.03) ] "echo";
-    Planner.instantiate ~knobs:[ ("budget", 0.10) ] "echo";
-    Planner.instantiate ~knobs:[ ("budget", 0.30) ] "echo";
+    budgeted "echo" 0.03;
+    budgeted "echo" 0.10;
+    budgeted "echo" 0.30;
   ]
 
 (* Memoised policy reports per named graph so E2/E3/E5/E7 share work. *)

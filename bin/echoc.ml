@@ -523,7 +523,7 @@ let run model_choice batch seq_len hidden layers policy budget all breakdown
     training.Pipeline.autodiff.Echo_autodiff.Grad.graph;
   let optimized = Pipeline.optimize ~enabled:optimize training in
   (match optimized.Pipeline.opt_stats with
-  | Some stats -> Format.printf "optimised: %a@." Echo_opt.Pipeline.pp_stats stats
+  | Some stats -> Format.printf "optimised: %a@." Pipeline.pp_opt_stats stats
   | None -> ());
   let planners =
     if all then Pass.default_instances

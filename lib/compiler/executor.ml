@@ -8,6 +8,9 @@ type t = {
   runtime : Parallel.t;
   nodes : Node.t array;  (** the frozen schedule; slot = index *)
   instrs : (unit -> unit) array;
+      (** one closure per slot; with the sanitizer on, each is wrapped in
+          its shadow checks *)
+  active_instrs : int;  (** non-nop instructions, before any wrapping *)
   values : Tensor.t array;
   slot_of_id : (int, int) Hashtbl.t;
   persistent : (Node.t * int) array;  (** (node, slot), schedule order *)
@@ -22,11 +25,11 @@ type t = {
   fallback_count : int;  (** instructions that evaluate through Interp *)
   mutable pending_flips : (int * int * int) list;
       (** (slot, index, bit) single-event upsets to apply during the next
-          {!run}, right after the slot's instruction writes; cleared after
-          that run *)
+          {!run}, right after the slot's instruction writes; that run
+          consumes them *)
   sanitize : Sanitize.t option;
-      (** shadow-memory sanitizer driven around every instruction of every
-          {!run}; [None] when compiled with the sanitizer off *)
+      (** shadow-memory sanitizer compiled around every instruction;
+          [None] when compiled with the sanitizer off *)
 }
 
 exception Budget_exceeded of { requested_bytes : int; budget_bytes : int }
@@ -350,11 +353,29 @@ let compile ?budget_bytes ?runtime ?sanitize (plan : Memplan.report) =
              (Array.to_list (Array.mapi (fun bid arr -> (bid, arr)) buffers)))
     end
   in
+  let active_instrs =
+    Array.fold_left (fun acc f -> if f == nop then acc else acc + 1) 0 instrs
+  in
+  (* The sanitizer is compiled into the instruction array: shadow checks
+     bracket every slot (nops included, so constant slots keep their
+     stamps), and [run] keeps its one loop whether it is on or off. *)
+  Option.iter
+    (fun san ->
+      Array.iteri
+        (fun i instr ->
+          instrs.(i) <-
+            (fun () ->
+              Sanitize.before_instr san i;
+              instr ();
+              Sanitize.after_instr san i))
+        instrs)
+    sanitizer;
   {
     plan;
     runtime;
     nodes;
     instrs;
+    active_instrs;
     values;
     slot_of_id;
     persistent;
@@ -382,8 +403,7 @@ let fused_group_count e =
 let fused_interior_count e =
   match e.plan.Memplan.fusion with Some f -> Fuse.interior_count f | None -> 0
 
-let active_instruction_count e =
-  Array.fold_left (fun acc f -> if f == nop then acc else acc + 1) 0 e.instrs
+let active_instruction_count e = e.active_instrs
 
 let footprint_bytes e =
   e.persistent_bytes + e.transient_bytes + e.max_workspace_bytes
@@ -488,6 +508,11 @@ let feed_named e name tensor =
 let input_names e =
   Array.to_list (Array.map (fun (node, _) -> Node.name node) e.persistent)
 
+let run_instrs instrs =
+  for i = 0 to Array.length instrs - 1 do
+    (Array.unsafe_get instrs i) ()
+  done
+
 let run e =
   if not e.all_fed then begin
     let missing =
@@ -502,46 +527,33 @@ let run e =
       raise (Interp.Missing_feed (String.concat ", " missing));
     e.all_fed <- true
   end;
-  let instrs = e.instrs in
-  (* The hot loop stays untouched when no upset is scheduled; a pending
-     flip switches one run onto a path that corrupts the slot's value the
-     instant its kernel has written it — before any consumer reads — so
-     the flip lands at the same dataflow point under every planner, fusion
-     setting and domain count. *)
-  (match e.sanitize with
-  | Some san ->
-    (* Sanitized path: shadow checks bracket every instruction. A pending
-       flip is applied after [after_instr] stamps and snapshots the slot's
-       destination, so [Full] mode sees the corruption as a foreign write
-       at the next instruction — exactly how a real upset would surface. *)
-    Sanitize.begin_run san;
-    let flips = e.pending_flips in
-    for i = 0 to Array.length instrs - 1 do
-      Sanitize.before_instr san i;
-      (Array.unsafe_get instrs i) ();
-      Sanitize.after_instr san i;
-      List.iter
-        (fun (s, index, bit) ->
-          if s = i then Tensor.flip_bit e.values.(i) ~index ~bit)
-        flips
-    done;
+  Option.iter Sanitize.begin_run e.sanitize;
+  (match e.pending_flips with
+  | [] -> run_instrs e.instrs
+  | flips ->
+    (* A pending upset patches its slot's instruction for this one run:
+       the patched instruction runs the original (shadow checks included),
+       then flips the value the instant it is written — before any
+       consumer reads it — so the flip lands at the same dataflow point
+       under every planner, fusion setting and domain count, and [Full]
+       mode sees it as a foreign write at the next instruction. Several
+       flips on one slot apply in scheduled order. The array is restored
+       even if the run raises, so no flip stays armed. *)
     e.pending_flips <- [];
-    Sanitize.check_exn san
-  | None -> (
-    match e.pending_flips with
-    | [] ->
-      for i = 0 to Array.length instrs - 1 do
-        (Array.unsafe_get instrs i) ()
-      done
-    | flips ->
-      for i = 0 to Array.length instrs - 1 do
-        (Array.unsafe_get instrs i) ();
-        List.iter
-          (fun (s, index, bit) ->
-            if s = i then Tensor.flip_bit e.values.(i) ~index ~bit)
-          flips
-      done;
-      e.pending_flips <- []));
+    let original = Array.copy e.instrs in
+    List.iter
+      (fun (s, index, bit) ->
+        let instr = e.instrs.(s) in
+        e.instrs.(s) <-
+          (fun () ->
+            instr ();
+            Tensor.flip_bit e.values.(s) ~index ~bit))
+      flips;
+    Fun.protect
+      ~finally:(fun () ->
+        Array.blit original 0 e.instrs 0 (Array.length original))
+      (fun () -> run_instrs e.instrs));
+  Option.iter Sanitize.check_exn e.sanitize;
   let os = e.output_slots in
   for i = 0 to Array.length os - 1 do
     e.outs.(i) <- e.values.(os.(i))

@@ -120,9 +120,11 @@ val schedule_flip : t -> slot:int -> index:int -> bit:int -> unit
     [slot]'s instruction executes, bit [bit] of scalar [index mod numel] of
     its value flips ({!Echo_tensor.Tensor.flip_bit}) — before any consumer
     reads it, so the corruption enters the dataflow at exactly that point
-    regardless of planner, fusion or domain count. All armed flips are
-    cleared after that run; when none are pending the execution path is
-    byte-for-byte the unfaulted one.
+    regardless of planner, fusion or domain count. That run patches the
+    slot's instruction to flip after it writes (several flips on one slot
+    apply in scheduled order) and restores it afterwards, even if the run
+    raises, so every armed flip is consumed by exactly one run; when none
+    are pending the execution path is byte-for-byte the unfaulted one.
     @raise Invalid_argument on an out-of-range slot, a slot that does not
     {!materialises}, a negative index, or a bit outside 0..63. *)
 

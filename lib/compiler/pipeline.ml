@@ -28,19 +28,44 @@ let differentiate s =
     autodiff = Echo_autodiff.Grad.differentiate ~loss:s.loss ~wrt:s.params;
   }
 
+type opt_stats = {
+  folded : int;
+  cse_removed : int;
+  nodes_before : int;
+  nodes_after : int;
+}
+
 type optimized = {
   training : training;
   graph : Graph.t;
-  opt_stats : Echo_opt.Pipeline.stats option;
+  opt_stats : opt_stats option;
 }
 
+(* Constant folding / algebraic simplification to a fixed point, then
+   common-subexpression elimination — the framework graph optimiser that
+   runs before the memory planner. *)
 let optimize ?(enabled = true) (t : training) =
+  let graph = t.autodiff.Echo_autodiff.Grad.graph in
   if enabled then begin
-    let graph, stats = Echo_opt.Pipeline.run t.autodiff.Echo_autodiff.Grad.graph in
-    { training = t; graph; opt_stats = Some stats }
+    let nodes_before = Graph.node_count graph in
+    let rec fold_fixpoint g total =
+      let g' = Echo_opt.Fold.run g in
+      let n = Graph.node_count g and n' = Graph.node_count g' in
+      if n' < n then fold_fixpoint g' (total + (n - n')) else (g', total)
+    in
+    let g, folded = fold_fixpoint graph 0 in
+    let before_cse = Graph.node_count g in
+    let g = Echo_opt.Cse.run g in
+    let nodes_after = Graph.node_count g in
+    let cse_removed = before_cse - nodes_after in
+    let stats = { folded; cse_removed; nodes_before; nodes_after } in
+    { training = t; graph = g; opt_stats = Some stats }
   end
-  else
-    { training = t; graph = t.autodiff.Echo_autodiff.Grad.graph; opt_stats = None }
+  else { training = t; graph; opt_stats = None }
+
+let pp_opt_stats fmt s =
+  Format.fprintf fmt "%d nodes -> %d (folded %d, cse removed %d)" s.nodes_before
+    s.nodes_after s.folded s.cse_removed
 
 let of_training_graph ?(name = "pre-built") graph =
   let outputs = Graph.outputs graph in
@@ -59,13 +84,12 @@ type rewritten = {
   report : Echo_core.Pass.report;
 }
 
-let rewrite ?(device = Echo_gpusim.Device.titan_xp) ?policy ?planner
+let rewrite ?(device = Echo_gpusim.Device.titan_xp) ?planner
     (opt : optimized) =
   let planner =
-    match (planner, policy) with
-    | Some i, _ -> i
-    | None, Some p -> Echo_core.Pass.instance_of_policy p
-    | None, None -> Echo_core.Planner.instantiate "stash-all"
+    match planner with
+    | Some i -> i
+    | None -> Echo_core.Planner.instantiate "stash-all"
   in
   let graph, report = Echo_core.Pass.run_instance ~device planner opt.graph in
   { optimized = opt; graph; planner; report }
@@ -250,14 +274,8 @@ let cache_key ?planner ?runtime ?fuse ?budget_bytes ?sanitize graph =
             Echo_analysis.Sanitize.mode_name sanitize;
           ]))
 
-let compile_graph ?budget_bytes ?policy ?planner ?runtime ?fuse ?sanitize
-    ?cache graph =
-  let planner =
-    match (planner, policy) with
-    | Some i, _ -> Some i
-    | None, Some p -> Some (Echo_core.Pass.instance_of_policy p)
-    | None, None -> None
-  in
+let compile_graph ?budget_bytes ?planner ?runtime ?fuse ?sanitize ?cache
+    graph =
   let build () =
     of_training_graph graph
     |> optimize ~enabled:false |> rewrite ?planner |> plan
@@ -271,12 +289,12 @@ let compile_graph ?budget_bytes ?policy ?planner ?runtime ?fuse ?sanitize
       ~key:(cache_key ?planner ?runtime ?fuse ?budget_bytes ?sanitize graph)
       ~compile:build
 
-let compile_source ?device ?optimize:(opt_enabled = true) ?policy ?planner
+let compile_source ?device ?optimize:(opt_enabled = true) ?planner
     ?budget_bytes ?runtime ?fuse ?sanitize src =
   let opt = optimize ~enabled:opt_enabled (differentiate src) in
   compile ?budget_bytes ?runtime ?sanitize
     (fuse_stage ?enabled:fuse ?runtime
-       (plan (rewrite ?device ?policy ?planner opt)))
+       (plan (rewrite ?device ?planner opt)))
 
 let describe fmt e =
   let pl = e.fused.planned in
@@ -288,7 +306,7 @@ let describe fmt e =
     (List.length (Graph.nodes opt.training.autodiff.Echo_autodiff.Grad.graph));
   (match opt.opt_stats with
   | Some s ->
-    Format.fprintf fmt "  optimized: %a@," Echo_opt.Pipeline.pp_stats s
+    Format.fprintf fmt "  optimized: %a@," pp_opt_stats s
   | None -> Format.fprintf fmt "  optimized: (pass skipped)@,");
   Format.fprintf fmt "  rewritten: policy=%s clones=%d@,"
     (Echo_core.Planner.label rw.planner)

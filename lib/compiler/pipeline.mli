@@ -62,16 +62,29 @@ val of_training_graph : ?name:string -> Graph.t -> training
 
 (** {1 Optimized stage} *)
 
+type opt_stats = {
+  folded : int;  (** nodes removed by constant folding, over all rounds *)
+  cse_removed : int;  (** nodes removed by common-subexpression elimination *)
+  nodes_before : int;
+  nodes_after : int;
+}
+
 type optimized = {
   training : training;
   graph : Graph.t;
-  opt_stats : Echo_opt.Pipeline.stats option;
+  opt_stats : opt_stats option;
       (** [None] when the pass was skipped ([~enabled:false] or a pre-built
           graph entered the pipeline). *)
 }
 
 val optimize : ?enabled:bool -> training -> optimized
-(** Constant folding + CSE (default [enabled = true]). *)
+(** Constant folding and algebraic simplification ({!Echo_opt.Fold}) to a
+    fixed point, then common-subexpression elimination ({!Echo_opt.Cse})
+    — the framework graph optimiser that runs before memory planning
+    (default [enabled = true]). A second run on its own output folds and
+    removes nothing. *)
+
+val pp_opt_stats : Format.formatter -> opt_stats -> unit
 
 (** {1 Rewritten stage} *)
 
@@ -88,14 +101,14 @@ type rewritten = {
 
 val rewrite :
   ?device:Echo_gpusim.Device.t ->
-  ?policy:Echo_core.Pass.policy ->
   ?planner:Echo_core.Planner.instance ->
   optimized ->
   rewritten
 (** Apply a recomputation planner resolved through the
-    {!Echo_core.Planner} registry. [planner] wins over the legacy [policy]
-    constructor when both are given; the default is ["stash-all"] (the
-    framework baseline) on {!Echo_gpusim.Device.titan_xp}. *)
+    {!Echo_core.Planner} registry and measure the result
+    ({!Echo_core.Pass.run_instance}). The default planner is ["stash-all"]
+    (the framework baseline, graph unchanged) on
+    {!Echo_gpusim.Device.titan_xp}. *)
 
 (** {1 Planned stage} *)
 
@@ -239,7 +252,6 @@ val cache_key :
 
 val compile_graph :
   ?budget_bytes:int ->
-  ?policy:Echo_core.Pass.policy ->
   ?planner:Echo_core.Planner.instance ->
   ?runtime:Echo_tensor.Parallel.t ->
   ?fuse:bool ->
@@ -247,10 +259,10 @@ val compile_graph :
   ?cache:cache ->
   Graph.t ->
   executable
-(** [of_training_graph |> optimize ~enabled:false |> rewrite ?policy ?planner
-    |> plan |> fuse |> compile]: compile an existing training graph (default
-    planner ["stash-all"], i.e. as-is; [fuse] defaults to the [ECHO_FUSION]
-    environment setting). This is what [Loop.train] uses, both on the
+(** [of_training_graph |> optimize ~enabled:false |> rewrite ?planner |> plan
+    |> fuse |> compile]: compile an existing training graph under a planner
+    instance (default ["stash-all"], i.e. as-is; [fuse] defaults to the
+    [ECHO_FUSION] environment setting). This is what [Loop.train] uses, both on the
     initial compile and when re-planning under a shrunk [budget_bytes].
 
     With [cache], the stages above only run on a miss: a hit for
@@ -264,7 +276,6 @@ val compile_graph :
 val compile_source :
   ?device:Echo_gpusim.Device.t ->
   ?optimize:bool ->
-  ?policy:Echo_core.Pass.policy ->
   ?planner:Echo_core.Planner.instance ->
   ?budget_bytes:int ->
   ?runtime:Echo_tensor.Parallel.t ->
@@ -272,7 +283,9 @@ val compile_source :
   ?sanitize:Echo_analysis.Sanitize.mode ->
   source ->
   executable
-(** The whole pipeline in one call. *)
+(** The whole pipeline in one call: [differentiate |> optimize ?enabled
+    |> rewrite ?device ?planner |> plan |> fuse |> compile]. [optimize]
+    defaults to [true] and [planner] to ["stash-all"]. *)
 
 val describe : Format.formatter -> executable -> unit
 (** Per-stage summary: node counts, opt stats, policy, plan, footprint. *)

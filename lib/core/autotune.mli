@@ -52,22 +52,6 @@ val fit_memory :
 val fit_footprint : ?fuse:bool -> outcome -> int
 (** The arena footprint {!fit_memory} judged the outcome by. *)
 
-val for_memory_target :
-  device:Device.t -> Graph.t -> target_bytes:int -> outcome option
-(** Cheapest Echo plan (by simulated overhead) whose measured peak footprint
-    fits [target_bytes]: escalates the overhead budget through
-    {1%%, 3%%, 5%%, 10%%, 20%%, 30%%, 50%%, 100%%} and stops at the first
-    budget that fits. [None] when even the most aggressive plan does not. *)
-
-val best_throughput :
-  device:Device.t ->
-  Graph.t ->
-  budget_bytes:int ->
-  candidates:Planner.instance list ->
-  outcome option
-(** Among [candidates] whose plan fits [budget_bytes], the one with the
-    smallest simulated iteration time. [None] if none fits. *)
-
 (** {1 Joint execution-knob search} *)
 
 type exec_combo = {

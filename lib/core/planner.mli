@@ -16,7 +16,8 @@
     The registry ships with:
     - [stash-all], [mirror-all-cheap], [checkpoint-sqrt], [echo] (knob
       [budget]), [echo-cheap], [echo-noshare], [echo-notrans],
-      [recompute-all] — the former [Pass.policy] variants;
+      [recompute-all] — the stash-all baseline, the paper's policy with
+      its ablations, and the classic recomputation bounds;
     - [dp-bptt] — Gruslys et al.-style balanced-byte segment checkpointing
       with an optional memory budget (knobs [slots], [budget-mib]);
     - [olla-arena] — stash-all semantics with the OLLA-style annealed

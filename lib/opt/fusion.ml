@@ -7,9 +7,6 @@ type stats = { groups : int; fused_nodes : int; launches_saved : int }
 (* The grouping itself lives in [Echo_ir.Fuse] — one analysis shared with
    the memory planner and the compiled executor, so these statistics
    describe exactly what the fused backend runs. *)
-let elementwise = Fuse.elementwise
-let member_of = Fuse.member_of
-
 let analyse graph =
   let p = Fuse.analyse graph in
   let fused_nodes =

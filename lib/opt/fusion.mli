@@ -17,12 +17,6 @@ type stats = {
   launches_saved : int;  (** kernel launches the fused executor avoids *)
 }
 
-val elementwise : Node.t -> bool
-(** Re-export of {!Echo_ir.Fuse.elementwise}. *)
-
-val member_of : Graph.t -> Node.t -> Node.t option
-(** Re-export of {!Echo_ir.Fuse.member_of}. *)
-
 val analyse : Graph.t -> stats
 
 val fused_graph_time : Device.t -> Graph.t -> float

@@ -14,7 +14,8 @@ type t =
           fault-shrunk) device budget allows only [budget_bytes]. *)
   | Replan of {
       step : int;
-      policy : string;  (** surviving policy, [Echo_core.Pass.policy_name] *)
+      policy : string;
+          (** surviving planner instance, [Echo_core.Planner.label] *)
       footprint_bytes : int;  (** footprint of the re-compiled executor *)
       budget_bytes : int;
     }

@@ -2,6 +2,8 @@
    '\n' completes a request line. *)
 type client = { fd : Unix.file_descr; pending : Buffer.t }
 
+let max_line_bytes = 1 lsl 20
+
 let write_all fd s =
   let len = String.length s in
   let off = ref 0 in
@@ -70,9 +72,29 @@ let serve ~socket engine =
           | 0 -> close_client c
           | n ->
             Buffer.add_subbytes c.pending chunk 0 n;
-            List.iter
-              (fun line -> requests := (c, line) :: !requests)
-              (drain_lines c.pending)
+            (* Only a read that completes a line needs the buffer split;
+               a newline-less stream just appends. *)
+            let lines =
+              if Bytes.contains (Bytes.sub chunk 0 n) '\n' then
+                drain_lines c.pending
+              else []
+            in
+            if
+              Buffer.length c.pending > max_line_bytes
+              || List.exists (fun l -> String.length l > max_line_bytes) lines
+            then begin
+              (* An over-long line is refused outright: its sender gets one
+                 error and loses the connection, so no client can grow the
+                 server's memory without bound. *)
+              (try
+                 write_all fd
+                   (Printf.sprintf "err request line exceeds %d bytes\n"
+                      max_line_bytes)
+               with Unix.Unix_error _ -> ());
+              close_client c
+            end
+            else
+              List.iter (fun line -> requests := (c, line) :: !requests) lines
           | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
             close_client c
         end)

@@ -13,7 +13,14 @@
 
     A client that disconnects before its reply costs only its own
     connection: [serve] ignores SIGPIPE for the process, so the failed
-    write surfaces as [EPIPE] and the connection is dropped. *)
+    write surfaces as [EPIPE] and the connection is dropped. A request
+    line longer than {!max_line_bytes} (counted without its newline, so a
+    newline-less stream is caught as soon as it passes the cap) gets one
+    [err] reply and its connection is closed; nothing it sent in the read
+    that crossed the cap is run. *)
+
+val max_line_bytes : int
+(** The request-line cap, 1 MiB. *)
 
 val serve : socket:string -> Engine.t -> unit
 (** Listen on Unix socket [socket] (an existing socket file is replaced)

@@ -10,24 +10,25 @@
    count to drain — a full barrier, so kernel calls never overlap and the
    tensor kernels need no per-call state.
 
-   A handle also carries an execution [config]: the fan-out work gate,
-   the steal granularity, and whether the pool may oversubscribe the
-   hardware. The config rides on the
+   A handle also carries an execution [config]: the fan-out work gate and
+   whether the pool may oversubscribe the hardware. The config rides on the
    handle (not in a global) so two executors compiled with different
    settings can run concurrently without racing on process state. *)
 
 type config = {
   min_fanout_work : int;
-  chunks_per_domain : int;
   oversubscribe : bool;
 }
 
 let default_config =
   {
     min_fanout_work = 1 lsl 18;
-    chunks_per_domain = 4;
     oversubscribe = false;
   }
+
+(* Stealable chunks per fanned-out domain: enough that a straggler on a
+   ragged row range can be stolen from. *)
+let chunks_per_domain = 4
 
 type pool = {
   pool_domains : int;  (* participants, including the caller *)
@@ -49,7 +50,6 @@ type t = { kind : kind; config : config }
 let sequential = { kind = Seq; config = default_config }
 let domains t = match t.kind with Seq -> 1 | Pool p -> p.pool_domains
 let min_fanout_work t = t.config.min_fanout_work
-let chunks_per_domain t = t.config.chunks_per_domain
 let oversubscribed t = t.config.oversubscribe
 
 let hardware_parallelism =
@@ -123,21 +123,17 @@ let env_domains () =
             domains), e.g. ECHO_DOMAINS=4"
            s))
 
-let create ?domains ?oversubscribe ?min_fanout_work ?chunks_per_domain () =
+let create ?domains ?oversubscribe ?min_fanout_work () =
   let d = match domains with Some d -> d | None -> env_domains () in
   if d < 1 then invalid_arg "Parallel.create: domains must be >= 1";
   let config =
     {
       min_fanout_work =
         Option.value min_fanout_work ~default:default_config.min_fanout_work;
-      chunks_per_domain =
-        Option.value chunks_per_domain ~default:default_config.chunks_per_domain;
       oversubscribe =
         Option.value oversubscribe ~default:default_config.oversubscribe;
     }
   in
-  if config.chunks_per_domain < 1 then
-    invalid_arg "Parallel.create: chunks_per_domain must be >= 1";
   if config.min_fanout_work < 0 then
     invalid_arg "Parallel.create: min_fanout_work must be >= 0";
   (* Never spawn a worker the fan-out cap makes unusable. A parked domain
@@ -171,24 +167,6 @@ let create ?domains ?oversubscribe ?min_fanout_work ?chunks_per_domain () =
     at_exit (fun () -> shutdown t);
     t
   end
-
-(* A second handle over the same pool (or Seq) with some config fields
-   replaced. The workers are shared; only the per-call execution
-   parameters differ, which is what lets one process hold executors
-   compiled under different fan-out settings. *)
-let with_config ?oversubscribe ?min_fanout_work ?chunks_per_domain t =
-  let c = t.config in
-  {
-    t with
-    config =
-      {
-        min_fanout_work =
-          Option.value min_fanout_work ~default:c.min_fanout_work;
-        chunks_per_domain =
-          Option.value chunks_per_domain ~default:c.chunks_per_domain;
-        oversubscribe = Option.value oversubscribe ~default:c.oversubscribe;
-      };
-  }
 
 (* Balanced contiguous partition of [0, n) into [parts] chunks: a pure
    function of (n, parts), independent of which domain runs which chunk. *)
@@ -250,7 +228,7 @@ let parallel_for t ?(work = 1) ~n body =
         let quantum = max 1 (c.min_fanout_work / 4) in
         let parts =
           min
-            (fan * c.chunks_per_domain)
+            (fan * chunks_per_domain)
             (max 1 (total_work / quantum))
         in
         let parts = min parts n in

@@ -24,9 +24,10 @@
     domain computes a tile, never how it is computed.
 
     {b Configuration.} Every handle carries its execution parameters —
-    fan-out work gate, steal granularity, oversubscription — so two
-    executors compiled with different settings can run concurrently in
-    one process without racing on global state. No kernel switches
+    fan-out work gate and oversubscription — so two executors compiled
+    with different settings can run concurrently in one process without
+    racing on global state. The steal granularity is the constant
+    {!chunks_per_domain}. No kernel switches
     algorithm on a handle setting: the matmul has one micro-kernel. *)
 
 type t
@@ -41,7 +42,6 @@ val create :
   ?domains:int ->
   ?oversubscribe:bool ->
   ?min_fanout_work:int ->
-  ?chunks_per_domain:int ->
   unit ->
   t
 (** [create ~domains ()] spawns a pool of [domains - 1] worker domains; the
@@ -62,22 +62,8 @@ val create :
       ([n * work]) below which [parallel_for] runs inline — the fan-out
       wakeup/join latency is tens of microseconds, so small kernels are
       strictly faster sequential.
-    - [chunks_per_domain] (default [4]): target number of stealable chunks
-      per fanned-out domain, bounding straggler imbalance on ragged rows.
 
-    @raise Invalid_argument if [domains < 1], [chunks_per_domain < 1] or
-    [min_fanout_work < 0]. *)
-
-val with_config :
-  ?oversubscribe:bool ->
-  ?min_fanout_work:int ->
-  ?chunks_per_domain:int ->
-  t ->
-  t
-(** A new handle sharing the same workers (or sequential engine) with some
-    configuration fields replaced. Cheap; this is how one process holds
-    executors compiled under different fan-out settings over a single
-    pool. *)
+    @raise Invalid_argument if [domains < 1] or [min_fanout_work < 0]. *)
 
 val domains : t -> int
 (** Total participating domains ([1] for {!sequential}). *)
@@ -94,11 +80,12 @@ val hardware_parallelism : unit -> int
 val min_fanout_work : t -> int
 (** The handle's fan-out work gate. *)
 
-val chunks_per_domain : t -> int
-(** The handle's target number of stealable chunks per fanned-out domain.
-    Together with {!effective_fanout} and {!min_fanout_work}, this fully
-    determines the partition [parallel_for] uses for a given [(n, work)] —
-    what the static race checker re-derives. *)
+val chunks_per_domain : int
+(** Target number of stealable chunks per fanned-out domain ([4]),
+    bounding straggler imbalance on ragged rows. Together with a handle's
+    {!effective_fanout} and {!min_fanout_work}, this fully determines the
+    partition [parallel_for] uses for a given [(n, work)] — what the
+    static race checker re-derives. *)
 
 val oversubscribed : t -> bool
 (** Whether the handle may spread across more domains than the hardware

@@ -210,7 +210,7 @@ let test_pipeline_stages_compose () =
   let reference = Echo_exec.Interp.eval g ~feeds in
   let exe =
     Pipeline.compile_source
-      ~policy:(Echo_core.Pass.Echo { overhead_budget = 0.2 })
+      ~planner:(Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo")
       ~optimize:false src
   in
   let compiled = Executor.eval (Pipeline.executor exe) ~feeds in

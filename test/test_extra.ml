@@ -11,6 +11,9 @@ let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 let dev = Echo_gpusim.Device.titan_xp
 
+let budgeted name b =
+  Echo_core.Planner.instantiate ~knobs:[ ("budget", b) ] name
+
 (* Interpreter dispatch *)
 
 let eval1 node feeds = List.hd (Interp.eval (Graph.create [ node ]) ~feeds)
@@ -114,7 +117,7 @@ let test_echo_larger_budget_never_worse_than_noop () =
   List.iter
     (fun b ->
       let _, r =
-        Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = b }) graph
+        Echo_core.Pass.run_instance ~device:dev (budgeted "echo" b) graph
       in
       check_bool "no regression at any budget" true (Echo_core.Pass.reduction r >= 1.0))
     [ 0.005; 0.02; 0.08; 0.4; 1.0 ]
@@ -125,12 +128,10 @@ let test_echo_cheap_only_sound () =
      non-regressing plans and cheap-only stays within its overhead budget. *)
   let graph = small_training () in
   let _, cheap =
-    Echo_core.Pass.run ~device:dev
-      (Echo_core.Pass.Echo_cheap_only { overhead_budget = 0.2 })
-      graph
+    Echo_core.Pass.run_instance ~device:dev (budgeted "echo-cheap" 0.2) graph
   in
   let _, full =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.2 }) graph
+    Echo_core.Pass.run_instance ~device:dev (budgeted "echo" 0.2) graph
   in
   check_bool "cheap-only no regression" true (Echo_core.Pass.reduction cheap >= 1.0);
   check_bool "full no regression" true (Echo_core.Pass.reduction full >= 1.0);
@@ -140,7 +141,7 @@ let test_echo_cheap_only_sound () =
 let test_timeline_clones_in_backward_lane () =
   let graph = small_training () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev (budgeted "echo" 0.3) graph
   in
   let tl = Echo_gpusim.Timeline.simulate dev rewritten in
   let clone_events =
@@ -166,11 +167,15 @@ let test_cse_idempotent () =
   check_int "fixed point" (Graph.node_count once) (Graph.node_count twice)
 
 let test_pipeline_idempotent () =
-  let graph = small_training () in
-  let g1, _ = Echo_opt.Pipeline.run graph in
-  let g2, stats = Echo_opt.Pipeline.run g1 in
-  check_int "fixed point" (Graph.node_count g1) (Graph.node_count g2);
-  check_int "nothing folded on second run" 0 stats.Echo_opt.Pipeline.folded
+  let module Pipeline = Echo_compiler.Pipeline in
+  let optimize g = Pipeline.optimize (Pipeline.of_training_graph g) in
+  let g1 = (optimize (small_training ())).Pipeline.graph in
+  let second = optimize g1 in
+  check_int "fixed point" (Graph.node_count g1)
+    (Graph.node_count second.Pipeline.graph);
+  match second.Pipeline.opt_stats with
+  | Some stats -> check_int "nothing folded on second run" 0 stats.Pipeline.folded
+  | None -> Alcotest.fail "optimize ran, so it reports stats"
 
 (* Device profiles sanity *)
 

@@ -5,6 +5,7 @@ open Echo_tensor
 open Echo_ir
 open Echo_opt
 open Echo_exec
+module Pipeline = Echo_compiler.Pipeline
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -145,18 +146,27 @@ let lm_graph () =
   in
   (training.Echo_autodiff.Grad.graph, feeds)
 
+let optimize g = Pipeline.optimize (Pipeline.of_training_graph g)
+
 let test_pipeline_on_training_graph () =
   let g, feeds = lm_graph () in
-  let g', stats = Pipeline.run g in
-  check_bool "removes something" true (stats.Pipeline.nodes_after < stats.Pipeline.nodes_before);
+  let optimized = optimize g in
+  let g' = optimized.Pipeline.graph in
+  (match optimized.Pipeline.opt_stats with
+  | Some stats ->
+    check_bool "removes something" true
+      (stats.Pipeline.nodes_after < stats.Pipeline.nodes_before)
+  | None -> Alcotest.fail "optimize ran, so it reports stats");
   check_bool "semantics preserved" true (outputs_equal g g' ~feeds);
   Graph.validate g'
 
 let test_pipeline_composes_with_echo () =
   let g, feeds = lm_graph () in
-  let g', _ = Pipeline.run g in
+  let g' = (optimize g).Pipeline.graph in
   let rewritten, report =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.1 }) g'
+    Echo_core.Pass.run_instance ~device:dev
+      (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.1) ] "echo")
+      g'
   in
   check_bool "echo after pipeline still sound" true (outputs_equal g' rewritten ~feeds);
   check_bool "no regression" true (Echo_core.Pass.reduction report >= 1.0)
@@ -249,39 +259,28 @@ let test_timeline_launch_share () =
 
 (* Autotune *)
 
+(* A memory target is met by the first fit-ladder rung whose arena fits:
+   a generous one ships the baseline, one just below the baseline forces
+   recomputation, and one below every rung is infeasible. *)
 let test_autotune_memory_target () =
   let g, _ = lm_graph () in
-  let base = (Memplan.plan g).Memplan.live_peak_bytes in
-  (* baseline fits a generous target *)
-  (match Echo_core.Autotune.for_memory_target ~device:dev g ~target_bytes:(2 * base) with
+  let fit target = Echo_core.Autotune.fit_memory ~device:dev g ~budget_bytes:target in
+  let base =
+    Echo_core.Autotune.fit_footprint
+      (Echo_core.Autotune.run_one ~device:dev
+         (Echo_core.Planner.instantiate "stash-all")
+         g)
+  in
+  (match fit (2 * base) with
   | Some o ->
     check_bool "baseline chosen" true (Echo_core.Autotune.label o = "stash-all")
   | None -> Alcotest.fail "generous target must fit");
-  (* a slightly tight target forces recomputation *)
-  (match Echo_core.Autotune.for_memory_target ~device:dev g ~target_bytes:(base - 1) with
+  (match fit (base - 1) with
   | Some o ->
-    check_bool "fits" true
-      (o.Echo_core.Autotune.report.Echo_core.Pass.optimised_mem.Memplan.live_peak_bytes
-      < base)
-  | None -> check_bool "acceptable if infeasible" true true);
-  (* an impossible target *)
-  check_bool "impossible target" true
-    (Echo_core.Autotune.for_memory_target ~device:dev g ~target_bytes:1 = None)
-
-let test_autotune_best_throughput () =
-  let g, _ = lm_graph () in
-  let base = (Memplan.plan g).Memplan.live_peak_bytes in
-  match
-    Echo_core.Autotune.best_throughput ~device:dev g ~budget_bytes:(2 * base)
-      ~candidates:
-        (List.map Echo_core.Pass.instance_of_policy
-           [ Echo_core.Pass.Stash_all; Echo_core.Pass.Checkpoint_sqrt;
-             Echo_core.Pass.Echo { overhead_budget = 0.3 } ])
-  with
-  | Some o ->
-    check_bool "fastest fitting = baseline" true
-      (Echo_core.Autotune.label o = "stash-all")
-  | None -> Alcotest.fail "budget was generous"
+    check_bool "recomputes" true (Echo_core.Autotune.label o <> "stash-all");
+    check_bool "fits" true (Echo_core.Autotune.fit_footprint o < base)
+  | None -> Alcotest.fail "the ladder reaches below the baseline arena");
+  check_bool "impossible target" true (fit 1 = None)
 
 (* fit_memory — the fault-tolerant runtime's escalation ladder. Rungs are
    judged by planned *arena* footprint (what the compiled slot executor
@@ -397,7 +396,6 @@ let suite =
     ( "autotune",
       [
         t "memory target" test_autotune_memory_target;
-        t "best throughput" test_autotune_best_throughput;
         t "fit_memory below floor" test_fit_memory_below_floor;
         t "fit_memory exact rung" test_fit_memory_exact_rung;
         t "fit_memory first-fit monotone" test_fit_memory_first_fit_monotone;

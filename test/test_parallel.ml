@@ -93,23 +93,9 @@ let test_create_validation () =
     [
       ("domains=0 rejected", fun () -> Parallel.create ~domains:0 ());
       ("domains=-2 rejected", fun () -> Parallel.create ~domains:(-2) ());
-      ( "chunks_per_domain=0 rejected",
-        fun () -> Parallel.create ~domains:2 ~chunks_per_domain:0 () );
       ( "min_fanout_work=-1 rejected",
         fun () -> Parallel.create ~domains:2 ~min_fanout_work:(-1) () );
     ]
-
-let test_with_config_views () =
-  let rt =
-    Parallel.with_config ~min_fanout_work:9 ~chunks_per_domain:3
-      Parallel.sequential
-  in
-  check_int "view gate" 9 (Parallel.min_fanout_work rt);
-  check_int "view steal granularity" 3 (Parallel.chunks_per_domain rt);
-  check_int "view still sequential" 1 (Parallel.domains rt);
-  check_bool "base handle untouched" true
-    (Parallel.min_fanout_work Parallel.sequential <> 9
-    && Parallel.chunks_per_domain Parallel.sequential <> 3)
 
 (* --- the work-stealing loop: coverage and bitwise determinism --- *)
 
@@ -330,7 +316,6 @@ let suite =
         t "ECHO_DOMAINS parsing" test_env_domains_parsing;
         t "ECHO_FUSION parsing" test_env_fusion_parsing;
         t "create validation" test_create_validation;
-        t "with_config views" test_with_config_views;
         QCheck_alcotest.to_alcotest prop_parallel_for_coverage;
         t "work stealing deterministic" test_stealing_determinism;
         t "fused executor repeated runs" test_executor_repeated_runs_deterministic;

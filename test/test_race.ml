@@ -376,6 +376,37 @@ let test_sanitizer_unit_checks () =
   | () -> Alcotest.fail "check_exn must raise on findings"
   | exception Sanitize.Sanitize_failed _ -> ()
 
+(* The executor's fault seam: an armed flip patches its slot's instruction
+   for exactly one run. Plain, the flip corrupts that run's outputs and
+   nothing after it; under the Full sanitizer it surfaces as a foreign
+   write to the flipped buffer. *)
+let test_flip_seam () =
+  let g, feeds = toy_training () in
+  let plan = Memplan.plan g in
+  let diff = List.find (fun n -> Node.op n = Op.Sub) (Graph.nodes g) in
+  let arm exe =
+    Executor.schedule_flip exe ~slot:(Executor.slot exe diff) ~index:0 ~bit:51
+  in
+  let bits exe =
+    List.concat_map
+      (fun t -> Array.to_list (Array.map Int64.bits_of_float (Tensor.to_array t)))
+      (Executor.eval exe ~feeds)
+  in
+  let plain = Executor.compile ~sanitize:Sanitize.Off plan in
+  let clean = bits plain in
+  arm plain;
+  check_bool "flipped run differs" true (bits plain <> clean);
+  check_bool "next run is bit-equal to an unflipped one" true
+    (bits plain = clean);
+  let full = Executor.compile ~sanitize:Sanitize.Full plan in
+  check_bool "clean sanitized run is bit-equal" true (bits full = clean);
+  arm full;
+  match Executor.eval full ~feeds with
+  | _ -> Alcotest.fail "Full sanitizer missed an injected flip"
+  | exception Sanitize.Sanitize_failed report ->
+    check_bool "flip flagged as a foreign write" true
+      (has_error ~check:"sanitize-foreign" report)
+
 (* ---------------- differential: sanitized == plain ---------------- *)
 
 let diff_cfg =
@@ -532,6 +563,7 @@ let suite =
           `Quick test_sanitizer_catches_foreign_binding;
         Alcotest.test_case "sanitizer unit checks all fire" `Quick
           test_sanitizer_unit_checks;
+        Alcotest.test_case "executor flip seam" `Quick test_flip_seam;
         Alcotest.test_case "sanitized training is bit-identical" `Quick
           test_sanitized_training_bit_identical;
         QCheck_alcotest.to_alcotest prop_sanitizer_transparent;

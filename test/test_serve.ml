@@ -475,6 +475,43 @@ let test_socket_client_hangup () =
     check_string "shutdown" "ok bye" bye
   | _ -> Alcotest.failf "expected 2 responses, got %d" (List.length responses)
 
+(* A client that streams past the request-line cap without a newline is
+   refused with one [err] and dropped; the server keeps answering the
+   other clients. *)
+let test_socket_oversized_line () =
+  let socket = Filename.temp_file "echo_serve" ".sock" in
+  Sys.remove socket;
+  let engine =
+    Engine.create ~runtime:(Parallel.create ~domains:1 ()) ()
+  in
+  let server = Domain.spawn (fun () -> Echo_serve.Server.serve ~socket engine) in
+  let flooder = connect_when_bound socket in
+  (* A server that never answers fails the test instead of hanging it. *)
+  Unix.setsockopt_float flooder Unix.SO_RCVTIMEO 10.0;
+  let payload = String.make (Echo_serve.Server.max_line_bytes + 1) 'x' in
+  let off = ref 0 in
+  while !off < String.length payload do
+    off :=
+      !off
+      + Unix.write_substring flooder payload !off (String.length payload - !off)
+  done;
+  let refusal = read_lines flooder 1 in
+  let closed = Unix.read flooder (Bytes.create 16) 0 16 = 0 in
+  Unix.close flooder;
+  let fd = connect_when_bound socket in
+  send fd "ping";
+  send fd "shutdown";
+  let responses = read_lines fd 2 in
+  Domain.join server;
+  Unix.close fd;
+  (match refusal with
+  | [ line ] ->
+    check_bool "one err reply" true
+      (String.length line >= 4 && String.sub line 0 4 = "err ")
+  | _ -> Alcotest.failf "expected 1 reply, got %d" (List.length refusal));
+  check_bool "flooder dropped" true closed;
+  check_bool "other client answered" true (responses = [ "ok pong"; "ok bye" ])
+
 let test_socket_end_to_end () =
   let socket = Filename.temp_file "echo_serve" ".sock" in
   Sys.remove socket;
@@ -565,5 +602,6 @@ let suite =
         t "corpus load_text" test_corpus_load_text;
         t "socket end to end" test_socket_end_to_end;
         t "socket client hangup" test_socket_client_hangup;
+        t "socket oversized line" test_socket_oversized_line;
       ] );
   ]

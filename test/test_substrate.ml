@@ -8,6 +8,7 @@ open Echo_exec
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dev = Echo_gpusim.Device.titan_xp
+let echo_03 = Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo"
 
 let lm_setup () =
   let open Echo_models in
@@ -44,20 +45,20 @@ let test_sanitized_matches_interp () =
   let graph, feeds = lm_setup () in
   let baseline = Interp.eval graph ~feeds in
   List.iter
-    (fun policy ->
-      let rewritten, _ = Echo_core.Pass.run ~device:dev policy graph in
+    (fun planner ->
+      let rewritten, _ = Echo_core.Pass.run_instance ~device:dev planner graph in
       let outs =
         Echo_compiler.Executor.eval (sanitized (Memplan.plan rewritten)) ~feeds
       in
       check_bool
-        (Echo_core.Pass.policy_name policy ^ " executable under recycling")
+        (Echo_core.Planner.label planner ^ " executable under recycling")
         true
         (List.for_all2 Tensor.equal baseline outs))
     [
-      Echo_core.Pass.Stash_all;
-      Echo_core.Pass.Checkpoint_sqrt;
-      Echo_core.Pass.Echo { overhead_budget = 0.3 };
-      Echo_core.Pass.Recompute_all;
+      Echo_core.Planner.instantiate "stash-all";
+      Echo_core.Planner.instantiate "checkpoint-sqrt";
+      echo_03;
+      Echo_core.Planner.instantiate "recompute-all";
     ]
 
 let test_chain_two_buffers () =
@@ -81,7 +82,7 @@ let test_chain_two_buffers () =
 let test_echo_peak_comparable () =
   let graph, _ = lm_setup () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev echo_03 graph
   in
   let p0 = (Memplan.plan graph).Memplan.live_peak_bytes in
   let p1 = (Memplan.plan rewritten).Memplan.live_peak_bytes in
@@ -120,7 +121,7 @@ let test_assign_validates_models () =
 let test_assign_echo_graph_smaller () =
   let graph, _ = lm_setup () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev echo_03 graph
   in
   let p0 = Assign.assign graph and p1 = Assign.assign rewritten in
   Assign.validate p0;
@@ -184,7 +185,7 @@ let test_serial_roundtrip_footprint () =
 let test_serial_roundtrip_rewritten () =
   let graph, feeds = lm_setup () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev echo_03 graph
   in
   let reloaded = roundtrip rewritten in
   let by_name =
